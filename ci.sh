@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: formatting, lints, and the tier-1 suite. Run from the repo root.
+# CI gate: formatting, lints, the tier-1 suite and every workspace test. Run
+# from the repo root.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -13,6 +14,9 @@ cargo build --release
 
 echo "==> tier-1: tests"
 cargo test -q
+
+echo "==> workspace tests (every crate's unit and integration tests)"
+cargo test --workspace -q
 
 echo "==> docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -27,6 +27,7 @@
 
 pub mod handler;
 pub mod perf;
+mod poll;
 pub mod server;
 pub mod service;
 pub mod stats;

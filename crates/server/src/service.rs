@@ -5,14 +5,18 @@
 //! Two runtimes live here, selected by [`RuntimeMode`]:
 //!
 //! - [`RuntimeMode::Readiness`] (the default): a **fixed** set of threads
-//!   regardless of how many clients connect. One nonblocking acceptor
-//!   polls the listener; a small set of I/O *shards* each own many
-//!   nonblocking connections, accumulating reads into per-connection
-//!   buffers and decoding frames incrementally
-//!   ([`dpfs_proto::frame::decode_slice`]); a shared worker pool services
-//!   decoded requests and appends encoded response frames to the owning
-//!   connection's outbound buffer, which its shard flushes. C10K-ready:
-//!   thread count is `1 + shards + workers`, independent of connections.
+//!   regardless of how many clients connect, each blocked in `epoll_wait`
+//!   until it has work. One acceptor waits on the listener; a small set of
+//!   I/O *shards* each own many nonblocking connections, waking only for
+//!   the connections the kernel reports ready (or that another thread
+//!   hands back through the shard's eventfd), accumulating reads into
+//!   per-connection buffers and decoding frames incrementally
+//!   ([`dpfs_proto::frame::decode_slice`]). A shared worker pool services
+//!   decoded requests and writes each encoded response straight to the
+//!   socket; only a reply the socket cannot take whole is left for the
+//!   shard to finish when the socket turns writable. C10K-ready: thread
+//!   count is `1 + shards + workers`, independent of connections, and an
+//!   idle server sleeps in the kernel.
 //! - [`RuntimeMode::ThreadPerConn`]: the original thread-per-connection
 //!   model (one decode thread plus a [`CONN_WORKERS`]-deep pool *per
 //!   connection*), kept as the ablation baseline the readiness runtime is
@@ -38,6 +42,7 @@ use dpfs_proto::{frame, Request, Response};
 use parking_lot::Mutex;
 
 use crate::handler::server_event;
+use crate::poll::{Events, Interest, Poller};
 
 /// A request handler an accept loop can serve: one response per request,
 /// shared across shards and workers.
@@ -55,7 +60,7 @@ pub trait Service: Send + Sync + 'static {
 /// Which serving runtime a [`ServeCore`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeMode {
-    /// Fixed thread count: nonblocking acceptor + I/O shards + shared
+    /// Fixed thread count: epoll-driven acceptor + I/O shards + shared
     /// worker pool. The default.
     Readiness,
     /// One decode thread and a [`CONN_WORKERS`] pool per connection
@@ -74,7 +79,7 @@ pub struct ServeConfig {
     /// Shared request-handling workers (readiness mode): the depth to
     /// which independent requests — across *all* connections — overlap
     /// their service times. Clamped to at least 2 so one connection's
-    /// pipelined requests still overlap. Clamped to at least 2.
+    /// pipelined requests still overlap.
     pub workers: usize,
 }
 
@@ -98,15 +103,8 @@ const DEFAULT_SHARDS: usize = 2;
 /// Default shared workers for the readiness runtime.
 const DEFAULT_WORKERS: usize = 8;
 
-/// Acceptor poll interval while the listener has no pending connection.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Cap on a shard's idle sleep. Bounds the latency a freshly-arrived
-/// request can sit unread while its shard naps.
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(1);
-
-/// Bytes one connection may pull off its socket per shard pass before the
-/// shard moves on (fairness between connections on one shard).
+/// Bytes one connection may pull off its socket per shard visit before
+/// the shard moves on (fairness between connections on one shard).
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Outbound-buffer cap per connection. A peer that stops reading while
@@ -126,25 +124,76 @@ pub(crate) fn accept_error_backoff(consecutive: u32) -> Duration {
     Duration::from_millis(ms.min(100))
 }
 
-/// Escalating idle sleep: yield for the first few empty passes (a worker
-/// is probably about to publish a response), then back off exponentially
-/// to [`IDLE_SLEEP_MAX`].
-fn idle_pause(idle_passes: u32) {
-    if idle_passes <= 3 {
-        std::thread::yield_now();
-        return;
-    }
-    let us = 50u64 << (idle_passes - 4).min(5);
-    std::thread::sleep(Duration::from_micros(us).min(IDLE_SLEEP_MAX));
-}
-
 // ---------------------------------------------------------------------
 // Readiness runtime
 // ---------------------------------------------------------------------
 
-/// Outbound bytes for one connection: encoded response frames appended by
-/// workers, flushed (nonblocking) by the owning shard. `pos` marks how
-/// far the flush has gotten.
+/// State every readiness-runtime thread shares.
+struct Runtime {
+    shutdown: Arc<AtomicBool>,
+    /// Watches the listener.
+    acceptor: Poller,
+    shards: Vec<Shard>,
+    /// Open connections, counted from accept to close.
+    conn_count: AtomicUsize,
+}
+
+impl Runtime {
+    /// Raise the shutdown flag and wake every poller, so the acceptor exits
+    /// and each shard starts draining now rather than at its next event.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.acceptor.wake();
+        for shard in &self.shards {
+            shard.poller.wake();
+        }
+    }
+}
+
+/// The cross-thread half of one shard: the poller its thread blocks in,
+/// and the two lists other threads fill before waking it.
+struct Shard {
+    poller: Poller,
+    /// Connections the acceptor handed over.
+    inbox: Mutex<Vec<TcpStream>>,
+    /// Tokens of connections a worker asked the shard to revisit.
+    ready: Mutex<Vec<u64>>,
+}
+
+impl Shard {
+    fn new() -> io::Result<Shard> {
+        Ok(Shard {
+            poller: Poller::new()?,
+            inbox: Mutex::new(Vec::new()),
+            ready: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Push onto one of the hand-off lists, waking the shard only when
+    /// the list was empty: the shard takes both lists right after each
+    /// wait, so a non-empty list already has a wake-up on its way.
+    fn hand_off<T>(&self, list: &Mutex<Vec<T>>, item: T) {
+        let first = {
+            let mut list = list.lock();
+            list.push(item);
+            list.len() == 1
+        };
+        if first {
+            self.poller.wake();
+        }
+    }
+
+    fn adopt(&self, stream: TcpStream) {
+        self.hand_off(&self.inbox, stream);
+    }
+
+    fn notify(&self, token: u64) {
+        self.hand_off(&self.ready, token);
+    }
+}
+
+/// Outbound bytes for one connection that the socket has not taken yet.
+/// `pos` marks how far the flush has gotten.
 #[derive(Default)]
 struct OutBuf {
     buf: Vec<u8>,
@@ -157,45 +206,73 @@ impl OutBuf {
     }
 }
 
-/// The worker-visible half of one connection: where responses go, plus
-/// the counters the shard uses for lockstep and drain decisions.
+/// Write queued bytes until the buffer empties or the socket would block.
+/// An error or a zero-length write means the connection is gone.
+fn flush(mut stream: &TcpStream, out: &mut OutBuf) -> io::Result<()> {
+    while out.pending() > 0 {
+        match stream.write(&out.buf[out.pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => out.pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    if out.pending() == 0 {
+        out.buf.clear();
+        out.pos = 0;
+    }
+    Ok(())
+}
+
+/// The worker-visible half of one connection: the socket replies go to,
+/// plus the counters the shard uses for lockstep and drain decisions.
 struct ConnIo {
+    /// The shard reads it; whoever holds `outbuf`'s lock writes it.
+    stream: TcpStream,
+    /// Index of the owning shard, and this connection's token there.
+    shard: usize,
+    token: u64,
     outbuf: Mutex<OutBuf>,
-    /// Requests dispatched but not yet answered into `outbuf`.
+    /// Requests dispatched but not yet answered (sent or queued).
     inflight: AtomicUsize,
     /// A wire-v1 (uncorrelated) request is in flight: the shard must not
     /// decode further frames from this connection until it completes,
     /// preserving lockstep order for legacy peers.
     v1_pending: AtomicBool,
-    /// Set by a worker when `outbuf` overflowed; the shard severs.
+    /// The shard is waiting for `inflight` to reach zero (peer EOF or
+    /// drain); the worker that finishes the last request wakes it.
+    wake_when_idle: AtomicBool,
+    /// Set by a worker when the connection failed or `outbuf`
+    /// overflowed; the shard severs.
     dead: AtomicBool,
 }
 
-impl ConnIo {
-    fn new() -> Arc<ConnIo> {
-        Arc::new(ConnIo {
-            outbuf: Mutex::new(OutBuf::default()),
-            inflight: AtomicUsize::new(0),
-            v1_pending: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-        })
-    }
-}
-
 /// Encode one response frame (echoing the request's correlation ID, v1
-/// framing when it had none) and append it to the connection's outbound
-/// buffer. Whole frames only — the buffer never holds a partial frame at
-/// its append edge, so per-connection responses stay serialized.
-fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) {
+/// framing when it had none) and queue it on the connection. Whole frames
+/// only — the buffer never holds a partial frame at its append edge, so
+/// per-connection responses stay serialized. With nothing queued ahead of
+/// it the frame goes straight to the socket; behind a backlog it waits
+/// for the shard, which already knows about the backlog.
+///
+/// Returns true when the shard must look at the connection: bytes are
+/// left over, or the connection died.
+fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) -> bool {
     let payload = resp.encode();
     let mut out = io.outbuf.lock();
+    let backlog = out.pending() > 0;
     let res = match corr_id {
         Some(id) => frame::write_frame_v2(&mut out.buf, id, &payload),
         None => frame::write_frame(&mut out.buf, &payload),
     };
-    if res.is_err() || out.pending() > OUTBUF_LIMIT {
+    if res.is_err()
+        || out.pending() > OUTBUF_LIMIT
+        || (!backlog && flush(&io.stream, &mut out).is_err())
+    {
         io.dead.store(true, Ordering::SeqCst);
+        return true;
     }
+    !backlog && out.pending() > 0
 }
 
 /// One decoded request bound for the shared worker pool.
@@ -209,21 +286,18 @@ struct Job {
     io: Arc<ConnIo>,
 }
 
-/// Hand-off point between the acceptor and one shard thread.
-struct Shard {
-    inbox: Mutex<Vec<TcpStream>>,
-}
-
 /// One connection owned by a shard.
 struct ShardConn {
-    stream: TcpStream,
+    io: Arc<ConnIo>,
     /// Unparsed bytes read off the socket.
     inbuf: Vec<u8>,
-    io: Arc<ConnIo>,
     /// Peer sent FIN; stop reading, finish what's in flight, then close.
     peer_eof: bool,
     /// A `Shutdown` request was decoded; stop reading ahead of the drain.
     stop_reading: bool,
+    /// What the socket is registered for in the shard's poller; `None`
+    /// while it is out of the set.
+    registered: Option<Interest>,
 }
 
 /// Why a connection left its shard.
@@ -232,88 +306,147 @@ enum ConnFate {
     Close,
 }
 
-fn shard_loop(
-    shard: Arc<Shard>,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    jobs: mpsc::Sender<Job>,
-    conn_count: Arc<AtomicUsize>,
-) {
-    let mut conns: Vec<ShardConn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut idle_passes: u32 = 0;
-    let mut draining_since: Option<Instant> = None;
-    loop {
-        let mut progressed = false;
-        for stream in shard.inbox.lock().drain(..) {
-            stream.set_nodelay(true).ok();
-            if stream.set_nonblocking(true).is_err() {
-                let _ = stream.shutdown(Shutdown::Both);
-                conn_count.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            conns.push(ShardConn {
-                stream,
-                inbuf: Vec::new(),
-                io: ConnIo::new(),
-                peer_eof: false,
-                stop_reading: false,
-            });
-            progressed = true;
+/// Take over a freshly accepted connection: nonblocking, registered for
+/// reads under `token`. `None` (connection refused) if setup fails.
+fn open_conn(poller: &Poller, shard: usize, token: u64, stream: TcpStream) -> Option<ShardConn> {
+    stream.set_nodelay(true).ok();
+    if stream.set_nonblocking(true).is_err() || poller.add(&stream, token, Interest::READ).is_err()
+    {
+        let _ = stream.shutdown(Shutdown::Both);
+        return None;
+    }
+    Some(ShardConn {
+        io: Arc::new(ConnIo {
+            stream,
+            shard,
+            token,
+            outbuf: Mutex::new(OutBuf::default()),
+            inflight: AtomicUsize::new(0),
+            v1_pending: AtomicBool::new(false),
+            wake_when_idle: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+        }),
+        inbuf: Vec::new(),
+        peer_eof: false,
+        stop_reading: false,
+        registered: Some(Interest::READ),
+    })
+}
+
+/// Deregister and sever. Deregistering comes first: an in-flight job's
+/// `Arc<ConnIo>` keeps the descriptor open after the shard lets go, and
+/// a registered descriptor would keep firing.
+fn close_conn(poller: &Poller, c: ShardConn, conn_count: &AtomicUsize) {
+    if c.registered.is_some() {
+        let _ = poller.delete(&c.io.stream);
+    }
+    let _ = c.io.stream.shutdown(Shutdown::Both);
+    conn_count.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Register the connection for exactly what it waits on: reads while its
+/// gates are open, writes while bytes are queued. A connection waiting on
+/// neither leaves the poll set — epoll reports a hang-up even to an empty
+/// interest set, which would spin the shard — and is brought back by a
+/// worker's wake-up instead.
+fn sync_interest(poller: &Poller, c: &mut ShardConn, draining: bool) -> io::Result<()> {
+    let want = Interest {
+        readable: !draining
+            && !c.peer_eof
+            && !c.stop_reading
+            && !c.io.v1_pending.load(Ordering::SeqCst),
+        writable: c.io.outbuf.lock().pending() > 0,
+    };
+    let want = (want.readable || want.writable).then_some(want);
+    if want != c.registered {
+        match want {
+            Some(i) if c.registered.is_some() => poller.modify(&c.io.stream, c.io.token, i)?,
+            Some(i) => poller.add(&c.io.stream, c.io.token, i)?,
+            None => poller.delete(&c.io.stream)?,
         }
-        let draining = shutdown.load(Ordering::SeqCst);
-        let mut i = 0;
-        while i < conns.len() {
-            let fate = service_conn(
-                &mut conns[i],
-                draining,
-                &service,
-                &jobs,
-                &mut scratch,
-                &mut progressed,
-            );
-            match fate {
-                ConnFate::Keep => i += 1,
-                ConnFate::Close => {
-                    let c = conns.swap_remove(i);
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
-                    progressed = true;
+        c.registered = want;
+    }
+    Ok(())
+}
+
+/// One shard thread: block until a connection it owns is ready or another
+/// thread hands it work, then service exactly those connections.
+fn shard_loop(rt: Arc<Runtime>, idx: usize, service: Arc<dyn Service>, jobs: mpsc::Sender<Job>) {
+    let shard = &rt.shards[idx];
+    let mut conns: HashMap<u64, ShardConn> = HashMap::new();
+    let mut next_token: u64 = 0;
+    let mut scratch = vec![0u8; 64 * 1024];
+    let mut events = Events::with_capacity(256);
+    let mut todo: Vec<u64> = Vec::new();
+    let mut drain_deadline: Option<Instant> = None;
+    loop {
+        let timeout = drain_deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        shard
+            .poller
+            .wait(&mut events, timeout)
+            .expect("epoll_wait on the shard's own epoll descriptor");
+        todo.clear();
+        todo.extend(events.tokens());
+        todo.append(&mut shard.ready.lock());
+        let draining = rt.shutdown.load(Ordering::SeqCst);
+        if !draining {
+            for stream in std::mem::take(&mut *shard.inbox.lock()) {
+                match open_conn(&shard.poller, idx, next_token, stream) {
+                    Some(c) => {
+                        conns.insert(next_token, c);
+                        next_token += 1;
+                    }
+                    None => {
+                        rt.conn_count.fetch_sub(1, Ordering::SeqCst);
+                    }
                 }
             }
         }
-        if draining {
-            let started = *draining_since.get_or_insert_with(Instant::now);
-            let drained = conns.iter().all(|c| {
+        if draining && drain_deadline.is_none() {
+            // From here connections only flush: revisit each once to drop
+            // its read interest, then let the last worker on each wake us.
+            drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
+            for c in conns.values() {
+                c.io.wake_when_idle.store(true, Ordering::SeqCst);
+            }
+            todo.extend(conns.keys());
+        }
+        todo.sort_unstable();
+        todo.dedup();
+        for token in &todo {
+            // A worker may name a connection that has closed since.
+            let Some(c) = conns.get_mut(token) else {
+                continue;
+            };
+            let keep = matches!(
+                service_conn(c, draining, &service, &jobs, &mut scratch),
+                ConnFate::Keep
+            ) && sync_interest(&shard.poller, c, draining).is_ok();
+            if !keep {
+                if let Some(c) = conns.remove(token) {
+                    close_conn(&shard.poller, c, &rt.conn_count);
+                }
+            }
+        }
+        if let Some(deadline) = drain_deadline {
+            let drained = conns.values().all(|c| {
                 c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending() == 0
             });
-            if drained || started.elapsed() > DRAIN_DEADLINE {
-                for c in conns.drain(..) {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
+            if drained || Instant::now() >= deadline {
+                for (_, c) in conns.drain() {
+                    close_conn(&shard.poller, c, &rt.conn_count);
                 }
                 for s in shard.inbox.lock().drain(..) {
                     let _ = s.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
+                    rt.conn_count.fetch_sub(1, Ordering::SeqCst);
                 }
                 return;
             }
         }
-        if progressed {
-            idle_passes = 0;
-            // Hand the core to the workers this pass just fed. Without
-            // this a busy shard re-polls back-to-back and, on small CPU
-            // counts, starves the pool it is filling — queued jobs age
-            // while the shard burns the core discovering nothing new.
-            std::thread::yield_now();
-        } else {
-            idle_passes = idle_passes.saturating_add(1);
-            idle_pause(idle_passes);
-        }
     }
 }
 
-/// One shard pass over one connection: flush pending responses, then (if
+/// One shard visit to one connection: flush pending responses, then (if
 /// not draining) read, decode, and dispatch new requests.
 fn service_conn(
     c: &mut ShardConn,
@@ -321,50 +454,26 @@ fn service_conn(
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
     scratch: &mut [u8],
-    progressed: &mut bool,
 ) -> ConnFate {
-    if c.io.dead.load(Ordering::SeqCst) {
+    if c.io.dead.load(Ordering::SeqCst) || flush(&c.io.stream, &mut c.io.outbuf.lock()).is_err() {
         return ConnFate::Close;
-    }
-    // Flush: nonblocking writes until the buffer empties or the socket
-    // would block. The lock is held across the write; workers appending
-    // concurrently wait a bounded syscall, never a handler.
-    {
-        let mut out = c.io.outbuf.lock();
-        while out.pending() > 0 {
-            let pos = out.pos;
-            match c.stream.write(&out.buf[pos..]) {
-                Ok(0) => return ConnFate::Close,
-                Ok(n) => {
-                    out.pos += n;
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-        if out.pending() == 0 && out.pos > 0 {
-            out.buf.clear();
-            out.pos = 0;
-        }
     }
     if draining {
         return ConnFate::Keep;
     }
     // Read: pull bytes while the lockstep gate is open and the fairness
-    // budget lasts.
+    // budget lasts. Level-triggered polling reports a connection cut off
+    // by the budget again on the next wait.
     if !c.peer_eof && !c.stop_reading && !c.io.v1_pending.load(Ordering::SeqCst) {
         let mut read_total = 0usize;
         loop {
-            match c.stream.read(scratch) {
+            match (&c.io.stream).read(scratch) {
                 Ok(0) => {
                     c.peer_eof = true;
                     break;
                 }
                 Ok(n) => {
                     c.inbuf.extend_from_slice(&scratch[..n]);
-                    *progressed = true;
                     read_total += n;
                     if read_total >= READ_BUDGET {
                         break;
@@ -380,8 +489,14 @@ fn service_conn(
     // partial frames wait for more bytes; corruption drops the
     // connection, exactly like the blocking runtime did.
     let mut consumed = 0usize;
+    let mut gated = false;
     let fate = loop {
-        if c.stop_reading || c.io.v1_pending.load(Ordering::SeqCst) {
+        if c.stop_reading {
+            break ConnFate::Keep;
+        }
+        if c.io.v1_pending.load(Ordering::SeqCst) {
+            // The worker that reopens the gate wakes the shard.
+            gated = true;
             break ConnFate::Keep;
         }
         match frame::decode_slice(&c.inbuf[consumed..]) {
@@ -398,14 +513,20 @@ fn service_conn(
     if consumed > 0 {
         c.inbuf.drain(..consumed);
     }
-    if matches!(fate, ConnFate::Close) {
+    if matches!(fate, ConnFate::Close) || c.io.dead.load(Ordering::SeqCst) {
         return ConnFate::Close;
     }
     // Peer gone: close once everything it asked for has been answered and
-    // flushed (workers may still be producing the last responses).
-    if c.peer_eof && c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending() == 0
-    {
-        return ConnFate::Close;
+    // flushed. Until then the connection sits out of the poll set and the
+    // worker finishing its last request wakes the shard. The flag goes up
+    // before the in-flight check so that one of the two sides sees the
+    // other; frames still held behind the v1 gate are owed answers too.
+    if c.peer_eof {
+        c.io.wake_when_idle.store(true, Ordering::SeqCst);
+        if !gated && c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending() == 0
+        {
+            return ConnFate::Close;
+        }
     }
     ConnFate::Keep
 }
@@ -424,7 +545,9 @@ fn dispatch_frame(
     let req = match Request::decode(fr.payload) {
         Ok(r) => r,
         Err(e) => {
-            // Malformed request: report and keep the connection.
+            // Malformed request: report and keep the connection. The shard
+            // syncs its interest after this visit, so leftovers need no
+            // wake-up.
             enqueue_response(
                 &c.io,
                 corr_id,
@@ -462,13 +585,10 @@ fn dispatch_frame(
     jobs.send(job).is_ok()
 }
 
-/// One shared worker: pull jobs, handle, append the encoded response to
-/// the owning connection's outbound buffer.
-fn worker_loop(
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// One shared worker: pull jobs, handle, send the encoded response (or
+/// queue it behind a backlog), and wake the owning shard only when it has
+/// something to do.
+fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, rt: Arc<Runtime>) {
     loop {
         // Classic shared-receiver pool: the guard drops as soon as recv
         // returns, handing the receiver to the next idle worker.
@@ -490,7 +610,7 @@ fn worker_loop(
         );
         let resp = service.handle_traced(job.req, job.trace_id);
         let t0 = dpfs_obs::now_ns();
-        enqueue_response(&job.io, job.corr_id, &resp);
+        let mut revisit = enqueue_response(&job.io, job.corr_id, &resp);
         server_event(
             job.trace_id,
             "respond",
@@ -500,54 +620,55 @@ fn worker_loop(
             dpfs_obs::now_ns().saturating_sub(t0),
             0,
         );
-        // Only decrement (and reopen the lockstep gate) after the
-        // response is in the buffer: a shard that observes zero in-flight
-        // and an empty buffer knows nothing is still owed.
-        job.io.inflight.fetch_sub(1, Ordering::SeqCst);
+        // Reopen the lockstep gate before the in-flight count drops, so a
+        // shard that sees nothing in flight also sees the gate open; the
+        // shard then decodes whatever waited behind it.
         if job.corr_id.is_none() {
             job.io.v1_pending.store(false, Ordering::SeqCst);
+            revisit = true;
+        }
+        // Only decrement after the response is queued: a shard that
+        // observes zero in flight and an empty buffer knows nothing is
+        // still owed.
+        let idle = job.io.inflight.fetch_sub(1, Ordering::SeqCst) == 1;
+        if revisit || (idle && job.io.wake_when_idle.load(Ordering::SeqCst)) {
+            rt.shards[job.io.shard].notify(job.io.token);
         }
         if is_shutdown {
-            // The response is already queued; raising the flag drains the
-            // whole server — acceptor, shards, and idle connections —
-            // exactly like ServeCore::stop.
-            shutdown.store(true, Ordering::SeqCst);
+            // The response is already sent; this drains the whole server —
+            // acceptor, shards, and idle connections — exactly like
+            // ServeCore::stop.
+            rt.begin_shutdown();
         }
     }
 }
 
-/// The nonblocking accept loop: polls the listener, parks new connections
-/// in shard inboxes round-robin, backs off on persistent accept errors,
-/// and exits as soon as the shutdown flag rises (no self-dial needed —
-/// wire shutdowns wake it by construction).
-fn poll_accept_loop(
-    listener: TcpListener,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    shards: Vec<Arc<Shard>>,
-    conn_count: Arc<AtomicUsize>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
+/// The acceptor: blocks until the listener is readable or a shutdown
+/// wakes it, parks new connections in shard inboxes round-robin, and
+/// backs off on persistent accept errors.
+fn acceptor_loop(listener: TcpListener, service: Arc<dyn Service>, rt: Arc<Runtime>) {
+    let mut events = Events::with_capacity(2);
     let mut next = 0usize;
     accept_loop_impl(
         || listener.accept().map(|(s, _)| s),
-        &shutdown,
+        || rt.acceptor.wait(&mut events, None),
+        &rt.shutdown,
         |stream| {
             service.note_connection();
-            conn_count.fetch_add(1, Ordering::SeqCst);
-            shards[next % shards.len()].inbox.lock().push(stream);
+            rt.conn_count.fetch_add(1, Ordering::SeqCst);
+            rt.shards[next % rt.shards.len()].adopt(stream);
             next += 1;
         },
     );
 }
 
 /// The accept policy, factored out so tests can inject a failing
-/// `accept`: `WouldBlock` polls at [`ACCEPT_POLL`]; success resets the
-/// error streak; any other error sleeps [`accept_error_backoff`].
+/// `accept`: `WouldBlock` blocks in `wait` until the listener is ready or
+/// a wake-up arrives; success resets the error streak; any other error,
+/// from either, sleeps [`accept_error_backoff`].
 fn accept_loop_impl(
     mut accept: impl FnMut() -> io::Result<TcpStream>,
+    mut wait: impl FnMut() -> io::Result<()>,
     shutdown: &AtomicBool,
     mut dispatch: impl FnMut(TcpStream),
 ) {
@@ -556,18 +677,18 @@ fn accept_loop_impl(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match accept() {
+        let res = match accept() {
             Ok(stream) => {
                 consecutive_errors = 0;
                 dispatch(stream);
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                consecutive_errors = consecutive_errors.saturating_add(1);
-                std::thread::sleep(accept_error_backoff(consecutive_errors));
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(),
+            Err(e) => Err(e),
+        };
+        if res.is_err() {
+            consecutive_errors = consecutive_errors.saturating_add(1);
+            std::thread::sleep(accept_error_backoff(consecutive_errors));
         }
     }
 }
@@ -880,10 +1001,9 @@ pub struct ServeCore {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     // Readiness runtime.
-    shards: Vec<Arc<Shard>>,
+    runtime: Option<Arc<Runtime>>,
     shard_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    conn_count: Arc<AtomicUsize>,
     // Baseline runtime.
     conns: ConnRegistry,
     conn_threads: ConnThreads,
@@ -908,54 +1028,57 @@ impl ServeCore {
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
         let conn_threads: ConnThreads = Arc::new(Mutex::new(Vec::new()));
-        let conn_count = Arc::new(AtomicUsize::new(0));
-        let mut shards: Vec<Arc<Shard>> = Vec::new();
+        let mut runtime = None;
         let mut shard_threads = Vec::new();
         let mut worker_threads = Vec::new();
 
         let accept_thread = match config.mode {
             RuntimeMode::Readiness => {
-                let n_shards = config.shards.max(1);
-                let n_workers = config.workers.max(2);
+                // Every fallible setup step runs before the first thread
+                // exists, so a failure is an error from here rather than a
+                // server that looks alive and never accepts.
+                listener.set_nonblocking(true)?;
+                let acceptor = Poller::new()?;
+                acceptor.add(&listener, 0, Interest::READ)?;
+                let shards = (0..config.shards.max(1))
+                    .map(|_| Shard::new())
+                    .collect::<io::Result<Vec<_>>>()?;
+                let rt = Arc::new(Runtime {
+                    shutdown: shutdown.clone(),
+                    acceptor,
+                    shards,
+                    conn_count: AtomicUsize::new(0),
+                });
+                runtime = Some(rt.clone());
                 let (tx, rx) = mpsc::channel::<Job>();
                 let rx = Arc::new(Mutex::new(rx));
-                for i in 0..n_shards {
-                    let shard = Arc::new(Shard {
-                        inbox: Mutex::new(Vec::new()),
-                    });
-                    shards.push(shard.clone());
+                for i in 0..rt.shards.len() {
+                    let rt = rt.clone();
                     let service = service.clone();
-                    let shutdown = shutdown.clone();
                     let jobs = tx.clone();
-                    let count = conn_count.clone();
                     shard_threads.push(
                         std::thread::Builder::new()
                             .name(format!("dpfs-shard-{i}-{}", service.name()))
-                            .spawn(move || shard_loop(shard, service, shutdown, jobs, count))?,
+                            .spawn(move || shard_loop(rt, i, service, jobs))?,
                     );
                 }
                 // Only shards hold senders: when the last shard drains and
                 // exits, the channel closes and the workers follow.
                 drop(tx);
-                for _ in 0..n_workers {
+                for _ in 0..config.workers.max(2) {
                     let rx = rx.clone();
                     let service = service.clone();
-                    let shutdown = shutdown.clone();
+                    let rt = rt.clone();
                     worker_threads.push(
                         std::thread::Builder::new()
                             .name(format!("dpfs-worker-{}", service.name()))
-                            .spawn(move || worker_loop(rx, service, shutdown))?,
+                            .spawn(move || worker_loop(rx, service, rt))?,
                     );
                 }
                 let service = service.clone();
-                let shutdown = shutdown.clone();
-                let accept_shards = shards.clone();
-                let count = conn_count.clone();
                 std::thread::Builder::new()
                     .name(format!("dpfs-accept-{}", service.name()))
-                    .spawn(move || {
-                        poll_accept_loop(listener, service, shutdown, accept_shards, count)
-                    })?
+                    .spawn(move || acceptor_loop(listener, service, rt))?
             }
             RuntimeMode::ThreadPerConn => {
                 let accept_service = service.clone();
@@ -981,10 +1104,9 @@ impl ServeCore {
             mode: config.mode,
             shutdown,
             accept_thread: Some(accept_thread),
-            shards,
+            runtime,
             shard_threads,
             worker_threads,
-            conn_count,
             conns,
             conn_threads,
         })
@@ -1005,7 +1127,10 @@ impl ServeCore {
     /// connection may be counted briefly.)
     pub fn open_connections(&self) -> usize {
         match self.mode {
-            RuntimeMode::Readiness => self.conn_count.load(Ordering::SeqCst),
+            RuntimeMode::Readiness => self
+                .runtime
+                .as_ref()
+                .map_or(0, |rt| rt.conn_count.load(Ordering::SeqCst)),
             RuntimeMode::ThreadPerConn => self.conns.lock().len(),
         }
     }
@@ -1035,6 +1160,9 @@ impl ServeCore {
     /// the threads.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(rt) = &self.runtime {
+            rt.begin_shutdown();
+        }
         if self.mode == RuntimeMode::ThreadPerConn {
             // Unblock accept() by dialing ourselves (use loopback if we
             // bound a wildcard address).
@@ -1061,10 +1189,12 @@ impl ServeCore {
             let _ = t.join();
         }
         // Connections the acceptor parked after the shards exited.
-        for shard in &self.shards {
-            for s in shard.inbox.lock().drain(..) {
-                let _ = s.shutdown(Shutdown::Both);
-                self.conn_count.fetch_sub(1, Ordering::SeqCst);
+        if let Some(rt) = &self.runtime {
+            for shard in &rt.shards {
+                for s in shard.inbox.lock().drain(..) {
+                    let _ = s.shutdown(Shutdown::Both);
+                    rt.conn_count.fetch_sub(1, Ordering::SeqCst);
+                }
             }
         }
         // Baseline runtime: reap connection threads. Every spawned
@@ -1112,6 +1242,7 @@ mod tests {
                         attempts.fetch_add(1, Ordering::SeqCst);
                         Err(io::Error::other("emfile injected"))
                     },
+                    || panic!("a failing acceptor never reports WouldBlock"),
                     &shutdown,
                     |_stream| panic!("failing acceptor never yields a connection"),
                 );
