@@ -37,7 +37,7 @@ DPFS_TRACE_OUT=target/trace-quick.jsonl \
 echo "==> trace summary (fails on empty or unparseable export)"
 cargo run --release -q -p dpfs-bench --bin trace-summarize -- target/trace-quick.jsonl
 
-echo "==> trace export must contain metadata RPC spans (ablation 8 remote mounts)"
+echo "==> trace export must contain metadata RPC spans (ablation 6 remote mounts)"
 grep -q '"kind":"meta\.' target/trace-quick.jsonl
 
 echo "==> c10k smoke: 256 concurrent connections, flat thread budget, zero drops"

@@ -21,10 +21,11 @@ fn bench_codec(c: &mut Criterion) {
     let payload = vec![0x5Au8; 256 * 1024];
     c.bench_function("frame_roundtrip_256k", |b| {
         b.iter(|| {
-            let mut buf = Vec::with_capacity(payload.len() + 16);
-            frame::write_frame(&mut buf, black_box(&payload)).unwrap();
+            let mut buf = Vec::with_capacity(payload.len() + frame::HEADER_LEN);
+            frame::write_frame(&mut buf, 1, 0, &[black_box(&payload)]).unwrap();
             frame::read_frame(&mut std::io::Cursor::new(&buf))
                 .unwrap()
+                .payload
                 .len()
         })
     });

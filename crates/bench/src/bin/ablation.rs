@@ -1,10 +1,10 @@
 //! Ablation studies: brick size, read granularity, staggered schedule,
-//! I/O-node scaling, client cache, dispatch mode, transport pipelining.
-//! Not paper figures — these probe the design choices DESIGN.md calls out.
+//! I/O-node scaling, client cache, metadata placement, list I/O. Not
+//! paper figures — these probe the design choices DESIGN.md calls out.
 //!
 //! `--quick` forces the small workload scale and turns the run into a smoke
-//! test: the directional regression checks (cache wins, parallel dispatch
-//! wins, multiplexed transport wins) are asserted and a violation exits
+//! test: the directional regression checks (brick cache wins, metadata
+//! client cache wins, list I/O wins) are asserted and a violation exits
 //! nonzero, so CI can run the real binary end to end.
 
 use dpfs_bench::ablation::*;
@@ -42,24 +42,14 @@ fn main() {
         "Ablation 5: client-side brick cache (hot-region re-reads)",
         &cache,
     );
-    let dispatch = dispatch_ablation(scale);
-    print_points(
-        "Ablation 6: parallel vs serial per-server dispatch (1 client, 4 class-3 servers)",
-        &dispatch,
-    );
-    let pipeline = pipeline_ablation(scale);
-    print_points(
-        "Ablation 7: transport pipelining depth (2 handles sharing per-server connections)",
-        &pipeline,
-    );
     let metadata = metadata_ablation(scale);
     print_ops_points(
-        "Ablation 8: metadata placement on an open/stat-heavy workload",
+        "Ablation 6: metadata placement on an open/stat-heavy workload",
         &metadata,
     );
     let list_io = list_io_ablation(scale);
     print_points(
-        "Ablation 9: server-side list I/O vs enumerated ranges (exact-granularity read)",
+        "Ablation 7: server-side list I/O vs enumerated ranges (exact-granularity read)",
         &list_io,
     );
 
@@ -97,18 +87,6 @@ fn main() {
         check(
             "client-side brick cache must beat no-cache on hot re-reads",
             cache[1].1 > cache[0].1,
-        );
-        check(
-            "parallel per-server dispatch must beat the serial request loop",
-            dispatch[0].1 > dispatch[1].1,
-        );
-        check(
-            "multiplexed transport must beat lockstep connections (PR 1)",
-            pipeline[0].1 > pipeline[1].1,
-        );
-        check(
-            "multiplexed transport must beat serial dispatch",
-            pipeline[0].1 > pipeline[2].1,
         );
         check(
             "metadata client cache must beat the uncached remote mount",

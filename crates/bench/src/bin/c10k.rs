@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use dpfs_proto::{frame, Request, Response};
-use dpfs_server::{IoServer, PerfModel, RuntimeMode, ServerConfig};
+use dpfs_server::{IoServer, PerfModel, ServerConfig};
 
 /// Current thread count of this process, from `/proc/self/status`.
 fn process_threads() -> usize {
@@ -54,11 +54,8 @@ fn main() {
 
     let root = std::env::temp_dir().join(format!("dpfs-c10k-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let server = IoServer::start(
-        ServerConfig::new("c10k00", &root, PerfModel::unthrottled())
-            .runtime(RuntimeMode::Readiness),
-    )
-    .expect("server start");
+    let server = IoServer::start(ServerConfig::new("c10k00", &root, PerfModel::unthrottled()))
+        .expect("server start");
     let addr = server.addr();
     let budget = server.runtime_threads();
     let start = Instant::now();
@@ -90,15 +87,15 @@ fn main() {
                     ranges: vec![(i as u64 * 64, 64)],
                 }
             };
-            frame::write_frame_v2(c, i as u64, &req.encode()).expect("send");
+            frame::write_frame(c, i as u64, 0, &[&req.encode()]).expect("send");
             c.flush().expect("flush");
         }
         for (i, c) in conns.iter_mut().enumerate() {
-            let Ok(f) = frame::read_frame_any(c) else {
+            let Ok(f) = frame::read_frame(c) else {
                 dropped += 1;
                 continue;
             };
-            if f.corr_id != Some(i as u64) {
+            if f.corr_id != i as u64 {
                 eprintln!("conn {i}: bad corr-ID echo {:?}", f.corr_id);
                 failures += 1;
                 continue;

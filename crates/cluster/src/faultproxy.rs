@@ -1,9 +1,9 @@
 //! A fault-injecting TCP proxy for chaos testing.
 //!
 //! Sits between a DPFS client and one I/O server, relaying whole protocol
-//! frames (any wire version) and misbehaving on demand: delaying frames,
-//! severing connections after every N frames, truncating a response
-//! mid-frame, or refusing connections outright. Because it cuts at frame
+//! frames and misbehaving on demand: delaying frames, severing
+//! connections after every N frames, truncating a response mid-frame, or
+//! refusing connections outright. Because it cuts at frame
 //! granularity it exercises exactly the failure surface the client's retry
 //! layer must absorb — torn frames, dropped connections, and stalls —
 //! without ever corrupting a frame silently (the checksum still protects
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dpfs_proto::{read_frame_any, write_frame, write_frame_v2, write_frame_v3, Frame, FrameError};
+use dpfs_proto::{read_frame, write_frame, Frame, FrameError};
 
 /// Live-tunable fault injection knobs. All relaxed atomics: tests flip them
 /// while traffic is flowing.
@@ -230,7 +230,7 @@ fn pump(
     server_to_client: bool,
 ) {
     loop {
-        let frame = match read_frame_any(&mut src) {
+        let frame = match read_frame(&mut src) {
             Ok(f) => f,
             Err(_) => {
                 sever(&pair);
@@ -263,13 +263,9 @@ fn pump(
     }
 }
 
-/// Re-encode a decoded frame in its original wire version.
+/// Re-encode a decoded frame unchanged.
 fn encode_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
-    match frame.corr_id {
-        None => write_frame(w, &frame.payload),
-        Some(id) if frame.trace_id != 0 => write_frame_v3(w, id, frame.trace_id, &frame.payload),
-        Some(id) => write_frame_v2(w, id, &frame.payload),
-    }
+    write_frame(w, frame.corr_id, frame.trace_id, &[&frame.payload])
 }
 
 #[cfg(test)]
@@ -278,7 +274,7 @@ mod tests {
     use dpfs_proto::{Request, Response};
     use std::io::Read;
 
-    /// A minimal upstream echoing Pong to every request, any frame version.
+    /// A minimal upstream echoing Pong to every request.
     fn pong_upstream() -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -286,13 +282,11 @@ mod tests {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
                 std::thread::spawn(move || {
-                    while let Ok(frame) = read_frame_any(&mut stream) {
+                    while let Ok(frame) = read_frame(&mut stream) {
                         let payload = Response::Pong.encode();
-                        let ok = match frame.corr_id {
-                            None => write_frame(&mut stream, &payload),
-                            Some(id) => write_frame_v2(&mut stream, id, &payload),
-                        };
-                        if ok.is_err() {
+                        let reply =
+                            write_frame(&mut stream, frame.corr_id, frame.trace_id, &[&payload]);
+                        if reply.is_err() {
                             break;
                         }
                     }
@@ -308,9 +302,9 @@ mod tests {
         let proxy = FaultProxy::start(upstream).unwrap();
         let mut conn = TcpStream::connect(proxy.addr()).unwrap();
         for corr in 1..=3u64 {
-            write_frame_v2(&mut conn, corr, &Request::Ping.encode()).unwrap();
-            let frame = read_frame_any(&mut conn).unwrap();
-            assert_eq!(frame.corr_id, Some(corr));
+            write_frame(&mut conn, corr, 0, &[&Request::Ping.encode()]).unwrap();
+            let frame = read_frame(&mut conn).unwrap();
+            assert_eq!(frame.corr_id, corr);
             assert_eq!(Response::decode(frame.payload).unwrap(), Response::Pong);
         }
         assert_eq!(proxy.connections(), 1);
@@ -324,11 +318,11 @@ mod tests {
         proxy.knobs().cut_every_frames.store(3, Ordering::Relaxed);
         let mut conn = TcpStream::connect(proxy.addr()).unwrap();
         // Frame 1 (request) + frame 2 (response) relay; frame 3 triggers.
-        write_frame_v2(&mut conn, 1, &Request::Ping.encode()).unwrap();
-        read_frame_any(&mut conn).unwrap();
-        write_frame_v2(&mut conn, 2, &Request::Ping.encode()).unwrap();
+        write_frame(&mut conn, 1, 0, &[&Request::Ping.encode()]).unwrap();
+        read_frame(&mut conn).unwrap();
+        write_frame(&mut conn, 2, 0, &[&Request::Ping.encode()]).unwrap();
         assert!(
-            read_frame_any(&mut conn).is_err(),
+            read_frame(&mut conn).is_err(),
             "cut frame must not be relayed"
         );
         assert_eq!(proxy.cuts(), 1);
@@ -340,9 +334,9 @@ mod tests {
         let proxy = FaultProxy::start(upstream).unwrap();
         proxy.knobs().truncate_next.store(true, Ordering::Relaxed);
         let mut conn = TcpStream::connect(proxy.addr()).unwrap();
-        write_frame_v2(&mut conn, 7, &Request::Ping.encode()).unwrap();
+        write_frame(&mut conn, 7, 0, &[&Request::Ping.encode()]).unwrap();
         // The torn response must decode as an error, never hang or panic.
-        assert!(read_frame_any(&mut conn).is_err());
+        assert!(read_frame(&mut conn).is_err());
         // And the connection is dead: EOF on further reads.
         let mut rest = Vec::new();
         let _ = conn.read_to_end(&mut rest);
@@ -354,18 +348,18 @@ mod tests {
         let (upstream, _t) = pong_upstream();
         let proxy = FaultProxy::start(upstream).unwrap();
         let mut live = TcpStream::connect(proxy.addr()).unwrap();
-        write_frame_v2(&mut live, 1, &Request::Ping.encode()).unwrap();
-        read_frame_any(&mut live).unwrap();
+        write_frame(&mut live, 1, 0, &[&Request::Ping.encode()]).unwrap();
+        read_frame(&mut live).unwrap();
 
         proxy.knobs().refuse.store(true, Ordering::Relaxed);
         let mut refused = TcpStream::connect(proxy.addr()).unwrap();
         assert!(
-            read_frame_any(&mut refused).is_err(),
+            read_frame(&mut refused).is_err(),
             "refused conn closes without data"
         );
 
         proxy.sever_all();
-        write_frame_v2(&mut live, 2, &Request::Ping.encode()).ok();
-        assert!(read_frame_any(&mut live).is_err(), "live conn was severed");
+        write_frame(&mut live, 2, 0, &[&Request::Ping.encode()]).ok();
+        assert!(read_frame(&mut live).is_err(), "live conn was severed");
     }
 }

@@ -9,9 +9,6 @@
 //! collected in plan order. One client thereby overlaps the service time of
 //! every server it stripes over, and two handles striped over the same
 //! servers overlap on the shared per-server connections.
-//! [`ClientOptions::serial_dispatch`] restores the original
-//! one-request-at-a-time loop and [`ClientOptions::lockstep_rpc`] the PR 1
-//! thread-fan-out-with-lockstep-connections client, both for ablation.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,14 +48,6 @@ pub struct ClientOptions {
     pub list_io: bool,
     /// This client's rank; sets the staggered schedule's starting server.
     pub rank: usize,
-    /// Issue per-server requests one at a time, awaiting each response
-    /// before submitting the next (the original lockstep client; kept for
-    /// ablation).
-    pub serial_dispatch: bool,
-    /// Serialize RPCs per server connection (one in flight at a time) while
-    /// still fanning out across servers on threads — the PR 1 client, kept
-    /// as the ablation baseline for transport pipelining.
-    pub lockstep_rpc: bool,
     /// Per-request deadline. An RPC that exceeds it poisons its connection
     /// and surfaces [`DpfsError::Timeout`].
     pub rpc_timeout: Duration,
@@ -89,8 +78,6 @@ impl Default for ClientOptions {
             granularity: Granularity::Brick,
             list_io: true,
             rank: 0,
-            serial_dispatch: false,
-            lockstep_rpc: false,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::default(),
             degraded_reads: false,
@@ -672,7 +659,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             data.len() as u64,
         );
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         for (&(server, expected), res) in expect.iter().zip(results) {
             self.stats.requests += 1;
             let written = expect_written(res?)?;
@@ -785,7 +772,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             data.len() as u64,
         );
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         for (&(server, expected), res) in expect.iter().zip(results) {
             self.stats.requests += 1;
             let written = expect_written(res?)?;
@@ -858,7 +845,7 @@ impl FileHandle {
                 )
             })
             .collect();
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let mut acc: Vec<Vec<u8>> = union
             .iter()
             .map(|&(_, len)| vec![0u8; len as usize])
@@ -963,7 +950,7 @@ impl FileHandle {
                     .filter(|&d| d != server)
                     .chain(std::iter::once(data_servers))
                     .collect();
-                let results = issue(&self.pool, &self.opts, true, peers, trace_id);
+                let results = issue(&self.pool, &self.opts, peers, trace_id);
                 let mut acc: Vec<Vec<u8>> = ranges
                     .iter()
                     .map(|&(_, len)| vec![0u8; len as usize])
@@ -1061,13 +1048,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             buf.len() as u64,
         );
-        // With degraded reads on, every server must be attempted even in
-        // serial mode — a failed one becomes a hole, not an early exit.
-        // Likewise on a redundant file, where a failed server becomes a
-        // reconstruction, not an error.
-        let stop_at_first_error =
-            !self.opts.degraded_reads && self.redundancy == RedundancyPolicy::None;
-        let results = issue(&self.pool, &self.opts, stop_at_first_error, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let mut outcomes: Vec<SubfileOutcome> = Vec::new();
         for (req, res) in reqs.iter().zip(results) {
             match res {
@@ -1250,9 +1231,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             buf.len() as u64,
         );
-        let stop_at_first_error =
-            !self.opts.degraded_reads && self.redundancy == RedundancyPolicy::None;
-        let results = issue(&self.pool, &self.opts, stop_at_first_error, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let mut outcomes: Vec<SubfileOutcome> = Vec::new();
         for ((req, shape), res) in reqs.iter().zip(&shaped).zip(results) {
             match res {
@@ -1453,9 +1432,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             0,
         );
-        // `stop_at_first_error = false`: every server is attempted even in
-        // serial mode.
-        let results = issue(&self.pool, &self.opts, false, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let failures: Vec<(String, DpfsError)> = targets
             .iter()
             .zip(results)
@@ -1498,23 +1475,14 @@ impl FileHandle {
 }
 
 /// Issue one request per planned item, returning raw responses in plan
-/// order.
-///
-/// - **Pipelined** (default): every frame goes on the wire first — the
-///   transport assigns correlation IDs and the per-server demux thread
-///   completes them out of order — then completions are collected in plan
-///   order. One slow server no longer stalls requests to the others, and
-///   multiple requests to *one* server overlap inside its connection.
-/// - **Serial** (`serial_dispatch`): the original one-request-at-a-time
-///   client loop, stopping at the first failure when `stop_at_first_error`
-///   (the `Err` is then the final element).
-/// - **Lockstep** (`lockstep_rpc`): the PR 1 baseline — a scoped thread per
-///   request, but each server connection carries at most one in-flight RPC
-///   (the transport's lockstep gate is held across the round-trip).
+/// order. Every frame goes on the wire first — the transport assigns
+/// correlation IDs and the per-server demux thread completes them out of
+/// order — then completions are collected in plan order. One slow server
+/// does not stall requests to the others, and multiple requests to *one*
+/// server overlap inside its connection.
 fn issue(
     pool: &ConnPool,
     opts: &ClientOptions,
-    stop_at_first_error: bool,
     work: Vec<(&str, Request)>,
     trace_id: u64,
 ) -> Vec<Result<Response>> {
@@ -1523,94 +1491,36 @@ fn issue(
         .map(|(_, req)| req.kind_str())
         .unwrap_or("other");
     let t0 = trace::now_ns();
-    if opts.serial_dispatch {
-        let timeout = opts.rpc_timeout;
-        let mut out = Vec::with_capacity(work.len());
-        for (server, req) in work {
-            // Same round-trip as `ConnPool::rpc`, with the trace stamped;
-            // lockstep_rpc additionally holds the per-server gate (and
-            // stays retry-free: it is the PR 1 ablation baseline).
-            let res = if opts.lockstep_rpc {
-                pool.rpc_lockstep_traced(server, &req, trace_id)
-            } else {
-                let first = pool
-                    .submit_traced(server, &req, trace_id)
-                    .and_then(|pending| pending.wait(timeout));
-                retry_if_transient(pool, opts, server, &req, trace_id, first)
-            };
-            let failed = res.is_err();
-            out.push(res);
-            if failed && stop_at_first_error {
-                break;
-            }
-        }
-        // Serial dispatch interleaves submission and waiting; the whole
-        // loop is one await span.
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t0,
-            trace::now_ns().saturating_sub(t0),
-            0,
-        );
-        out
-    } else if opts.lockstep_rpc {
-        let out = std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(server, req)| {
-                    scope.spawn(move || pool.rpc_lockstep_traced(server, &req, trace_id))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dispatch thread panicked"))
-                .collect()
-        });
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t0,
-            trace::now_ns().saturating_sub(t0),
-            0,
-        );
-        out
-    } else {
-        let timeout = opts.rpc_timeout;
-        // Keep each request alongside its pending completion: a waiter
-        // that fails with a transient error reissues the request itself
-        // (the other servers' responses keep arriving meanwhile).
-        let submitted: Vec<_> = work
-            .into_iter()
-            .map(|(server, req)| {
-                let pending = pool.submit_traced(server, &req, trace_id);
-                (server, req, pending)
-            })
-            .collect();
-        let t1 = trace::now_ns();
-        trace::client_event(trace_id, "submit", kind, "", t0, t1.saturating_sub(t0), 0);
-        let out = submitted
-            .into_iter()
-            .map(|(server, req, pending)| {
-                let first = pending.and_then(|pending| pending.wait(timeout));
-                retry_if_transient(pool, opts, server, &req, trace_id, first)
-            })
-            .collect();
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t1,
-            trace::now_ns().saturating_sub(t1),
-            0,
-        );
-        out
-    }
+    let timeout = opts.rpc_timeout;
+    // Keep each request alongside its pending completion: a waiter that
+    // fails with a transient error reissues the request itself (the other
+    // servers' responses keep arriving meanwhile).
+    let submitted: Vec<_> = work
+        .into_iter()
+        .map(|(server, req)| {
+            let pending = pool.submit_traced(server, &req, trace_id);
+            (server, req, pending)
+        })
+        .collect();
+    let t1 = trace::now_ns();
+    trace::client_event(trace_id, "submit", kind, "", t0, t1.saturating_sub(t0), 0);
+    let out = submitted
+        .into_iter()
+        .map(|(server, req, pending)| {
+            let first = pending.and_then(|pending| pending.wait(timeout));
+            retry_if_transient(pool, opts, server, &req, trace_id, first)
+        })
+        .collect();
+    trace::client_event(
+        trace_id,
+        "await",
+        kind,
+        "",
+        t1,
+        trace::now_ns().saturating_sub(t1),
+        0,
+    );
+    out
 }
 
 /// The wire shape the cost model picked for one list request.

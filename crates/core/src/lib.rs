@@ -20,7 +20,7 @@
 //! data moves over the TCP protocol of `dpfs-proto` to `dpfs-server` I/O
 //! nodes (paper §2). Every operation is traced end to end ([`trace`]):
 //! client phase spans and server-side events share a per-operation trace
-//! ID carried in v3 frames, and per-kind latency histograms accumulate in
+//! ID carried in every frame header, and per-kind latency histograms accumulate in
 //! [`TransportStats`].
 
 pub mod api;

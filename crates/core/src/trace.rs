@@ -4,8 +4,8 @@
 //! *trace ID* from [`next_trace_id`]. The operation records its phases —
 //! `plan` (brick planning / request combination), `submit` (frames onto
 //! the wire), `await` (all responses back), one `rpc` span per server RPC,
-//! and an enclosing `op` span — into the process-global [`ring()`]. Traced
-//! requests travel as v3 frames, so the server's events (`decode`,
+//! and an enclosing `op` span — into the process-global [`ring()`]. Every
+//! frame carries the trace ID, so the server's events (`decode`,
 //! `queue`, `device`, `delay`, `respond`) carry the same trace ID; with an
 //! in-process testbed both sides land in the same ring and a single JSONL
 //! export ([`export_jsonl_to`]) shows the whole operation end to end.

@@ -1,14 +1,12 @@
 //! Multiplexed RPC transport: pipelined per-server connections.
 //!
 //! The paper's client "invokes system communication API such as socket"
-//! per request (§2); PR 1 reproduced that as lockstep — one in-flight RPC
-//! per server connection, the slot lock held across the whole round-trip.
-//! This module replaces that with a multiplexed transport in the style of
-//! PVFS-era pipelined I/O stacks:
+//! per request (§2). This module multiplexes those requests over one
+//! connection per server, in the style of PVFS-era pipelined I/O stacks:
 //!
 //! - **Writer path**: [`Transport::submit`] stamps the request with a fresh
 //!   correlation ID, registers a waiter in the in-flight table, writes the
-//!   v2 frame under a short writer lock, and returns a [`Pending`] without
+//!   frame under a short writer lock, and returns a [`Pending`] without
 //!   waiting for the response. Many requests can be on the wire at once.
 //! - **Demux reader**: one dedicated thread per connection reads response
 //!   frames, looks the correlation ID up in the in-flight table, and
@@ -20,10 +18,6 @@
 //! - **Error fan-out**: when a connection dies — read error, write error,
 //!   undecodable response, peer close — every in-flight waiter is completed
 //!   with [`DpfsError::Disconnected`]. Nothing hangs.
-//!
-//! [`Transport::lockstep_gate`] restores PR 1's one-RPC-at-a-time-per-server
-//! behaviour for ablation: holding the gate across submit+wait serializes
-//! callers without touching the pipelined machinery.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
@@ -33,7 +27,7 @@ use std::time::Duration;
 
 use dpfs_obs::{HistSnapshot, Histogram};
 use dpfs_proto::{frame, Request, Response};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::conn::Resolver;
 use crate::error::{DpfsError, Result};
@@ -186,9 +180,6 @@ pub struct Transport {
     /// observed. Held only to look up / replace the `Arc`.
     slot: Mutex<Option<Arc<Conn>>>,
     next_id: AtomicU64,
-    /// Ablation gate (PR 1 baseline): held across submit+wait to allow at
-    /// most one in-flight RPC on this server. Unused in multiplexed mode.
-    gate: Mutex<()>,
     counters: Arc<Counters>,
 }
 
@@ -200,7 +191,6 @@ impl Transport {
             resolver,
             slot: Mutex::new(None),
             next_id: AtomicU64::new(1),
-            gate: Mutex::new(()),
             counters: Arc::new(Counters::default()),
         }
     }
@@ -253,7 +243,7 @@ impl Transport {
 
     /// [`Transport::submit`], stamping the frame with `trace_id` so the
     /// server's events join the operation's trace. `trace_id == 0` means
-    /// untraced (plain v2 frame on the wire).
+    /// untraced.
     pub fn submit_traced(&self, req: &Request, trace_id: u64) -> Result<Pending> {
         // One retry: the slot can hand out a connection that a concurrent
         // poison killed between the lookup and our registration.
@@ -288,14 +278,7 @@ impl Transport {
         let parts = req.encode_parts();
         let part_refs: Vec<&[u8]> = parts.iter().map(|p| &p[..]).collect();
         let wire_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let wrote = {
-            let mut w = conn.writer.lock();
-            if trace_id != 0 {
-                frame::write_frame_v3_parts(&mut *w, id, trace_id, &part_refs)
-            } else {
-                frame::write_frame_v2_parts(&mut *w, id, &part_refs)
-            }
-        };
+        let wrote = frame::write_frame(&mut *conn.writer.lock(), id, trace_id, &part_refs);
         if let Err(e) = wrote {
             conn.inflight.lock().waiters.remove(&id);
             conn.poison(&format!("request write failed: {e}"));
@@ -391,12 +374,6 @@ impl Transport {
             .meta_cache_misses
             .fetch_add(1, Ordering::Relaxed);
     }
-
-    /// The PR 1 ablation gate: hold the returned guard across submit+wait
-    /// to restore one-in-flight-per-server lockstep.
-    pub fn lockstep_gate(&self) -> MutexGuard<'_, ()> {
-        self.gate.lock()
-    }
 }
 
 /// A submitted request awaiting its response.
@@ -483,21 +460,12 @@ impl Pending {
 /// the connection dies, then fans the failure out.
 fn demux_loop(mut stream: TcpStream, conn: Arc<Conn>) {
     loop {
-        let frame = match frame::read_frame_any(&mut stream) {
+        let frame = match frame::read_frame(&mut stream) {
             Ok(f) => f,
             Err(e) => {
                 conn.poison(&format!("connection to {} lost: {e}", conn.server));
                 return;
             }
-        };
-        let Some(id) = frame.corr_id else {
-            // We only ever send v2 requests; a v1 response frame means the
-            // peer is confused about which protocol this connection speaks.
-            conn.poison(&format!(
-                "server {} sent an uncorrelated frame",
-                conn.server
-            ));
-            return;
         };
         let resp = match Response::decode(frame.payload) {
             Ok(r) => r,
@@ -507,7 +475,7 @@ fn demux_loop(mut stream: TcpStream, conn: Arc<Conn>) {
             }
         };
         // A missing waiter timed out and was evicted; drop the response.
-        if let Some(tx) = conn.inflight.lock().waiters.remove(&id) {
+        if let Some(tx) = conn.inflight.lock().waiters.remove(&frame.corr_id) {
             let _ = tx.send(Ok(resp));
         }
     }

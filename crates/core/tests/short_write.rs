@@ -25,7 +25,7 @@ fn start_lying_server() -> SocketAddr {
 
 fn serve(mut stream: TcpStream) {
     loop {
-        let Ok(frame) = frame::read_frame_any(&mut stream) else {
+        let Ok(frame) = frame::read_frame(&mut stream) else {
             return;
         };
         let Ok(req) = Request::decode(frame.payload) else {
@@ -38,11 +38,8 @@ fn serve(mut stream: TcpStream) {
             }
             _ => Response::Pong,
         };
-        let wrote = match frame.corr_id {
-            Some(id) => frame::write_frame_v2(&mut stream, id, &resp.encode()),
-            None => frame::write_frame(&mut stream, &resp.encode()),
-        };
-        if wrote.is_err() {
+        let reply = &[&resp.encode()[..]];
+        if frame::write_frame(&mut stream, frame.corr_id, frame.trace_id, reply).is_err() {
             return;
         }
     }

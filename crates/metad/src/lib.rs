@@ -946,8 +946,8 @@ mod tests {
         let mut server = MetaServer::start(MetadConfig::in_memory()).unwrap();
         let mut c = TcpStream::connect(server.addr()).unwrap();
         let rpc = |c: &mut TcpStream, req: Request| -> Response {
-            frame::write_frame(c, &req.encode()).unwrap();
-            Response::decode(frame::read_frame(c).unwrap()).unwrap()
+            frame::write_frame(c, 1, 0, &[&req.encode()]).unwrap();
+            Response::decode(frame::read_frame(c).unwrap().payload).unwrap()
         };
         assert_eq!(rpc(&mut c, Request::Ping), Response::Pong);
         let resp = rpc(

@@ -1,35 +1,31 @@
 //! Length-prefixed, CRC-protected framing over any `Read`/`Write` stream.
 //!
-//! Three header versions coexist on the wire:
+//! Every frame carries one fixed header (all integers little-endian):
 //!
-//! - **v1** (`"DPFS"`): `[magic][len u32][crc u32][payload]` — the original
-//!   lockstep protocol. Kept for ablation and for old peers.
-//! - **v2** (`"DPF2"`): `[magic][correlation id u64][len u32][crc u32]
-//!   [payload]` — the multiplexed transport. The correlation ID ties a
-//!   response frame back to the request it answers, so many requests can be
-//!   in flight on one connection and complete out of order.
-//! - **v3** (`"DPF3"`): `[magic][correlation id u64][trace id u64][len u32]
-//!   [crc u32][payload]` — v2 plus a trace ID, so server-side events join
-//!   the client operation's trace. Clients only emit v3 for traced
-//!   requests; untraced traffic stays v2, and servers keep answering in v2
-//!   (the client already knows the trace ID it sent).
+//! ```text
+//! [magic "DPF3": 4][correlation id u64][trace id u64][len u32][crc32 u32][payload]
+//! ```
 //!
-//! [`read_frame_any`] accepts all versions (the magic disambiguates), so a
-//! current server still serves v1 clients; [`read_frame`] accepts only v1.
+//! The correlation ID ties a response frame back to the request it
+//! answers, so many requests can be in flight on one connection and
+//! complete out of order. The trace ID lets server-side events join the
+//! client operation's trace; 0 means untraced.
+//!
+//! [`write_frame`] is the one (vectored) writer; [`read_frame`] reads from
+//! a blocking stream and [`decode_slice`] from a buffer of nonblocking
+//! reads. Both readers reject any other magic — including the retired
+//! `DPFS` and `DPF2` headers — with [`FrameError::BadMagic`].
 
 use std::fmt;
 use std::io::{Read, Write};
 
 use bytes::Bytes;
 
-/// `"DPFS"` — first four bytes of every v1 frame.
-pub const MAGIC: [u8; 4] = *b"DPFS";
+/// `"DPF3"` — first four bytes of every frame.
+pub const MAGIC: [u8; 4] = *b"DPF3";
 
-/// `"DPF2"` — first four bytes of every v2 (correlated) frame.
-pub const MAGIC_V2: [u8; 4] = *b"DPF2";
-
-/// `"DPF3"` — first four bytes of every v3 (correlated + traced) frame.
-pub const MAGIC_V3: [u8; 4] = *b"DPF3";
+/// Bytes of header in front of every payload.
+pub const HEADER_LEN: usize = 28;
 
 /// Upper bound on payload size (64 MiB). Protects a peer from allocating
 /// unbounded memory on a corrupt or hostile length field.
@@ -160,71 +156,21 @@ fn parts_len(parts: &[&[u8]]) -> Result<usize, FrameError> {
     Ok(len)
 }
 
-/// Write one v1 frame containing `payload`.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(payload.len()));
-    }
-    let mut header = [0u8; 12];
+/// Write one frame carrying `corr_id`, `trace_id` (0 = untraced), and a
+/// payload that is the concatenation of `parts` — the scatter-gather send
+/// path. The CRC streams across the slices and header + parts leave
+/// through one gathered `write_vectored`, so a message split into
+/// (header, payload) parts hits the wire without ever being copied into
+/// a contiguous buffer. A single-slice payload is just `&[payload]`.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    corr_id: u64,
+    trace_id: u64,
+    parts: &[&[u8]],
+) -> Result<(), FrameError> {
+    let len = parts_len(parts)?;
+    let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one v2 frame carrying `corr_id` and `payload`.
-pub fn write_frame_v2<W: Write>(w: &mut W, corr_id: u64, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_v2_parts(w, corr_id, &[payload])
-}
-
-/// Write one v2 frame whose payload is the concatenation of `parts` —
-/// the scatter-gather send path. The CRC streams across the slices and
-/// header + parts leave through one gathered `write_vectored`, so a
-/// message split into (header, payload) parts hits the wire without ever
-/// being copied into a contiguous buffer.
-pub fn write_frame_v2_parts<W: Write>(
-    w: &mut W,
-    corr_id: u64,
-    parts: &[&[u8]],
-) -> Result<(), FrameError> {
-    let len = parts_len(parts)?;
-    let mut header = [0u8; 20];
-    header[..4].copy_from_slice(&MAGIC_V2);
-    header[4..12].copy_from_slice(&corr_id.to_le_bytes());
-    header[12..16].copy_from_slice(&(len as u32).to_le_bytes());
-    header[16..20].copy_from_slice(&crc32_parts(parts).to_le_bytes());
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    bufs.push(&header);
-    bufs.extend_from_slice(parts);
-    write_all_vectored(w, &bufs)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one v3 frame carrying `corr_id`, `trace_id`, and `payload`.
-pub fn write_frame_v3<W: Write>(
-    w: &mut W,
-    corr_id: u64,
-    trace_id: u64,
-    payload: &[u8],
-) -> Result<(), FrameError> {
-    write_frame_v3_parts(w, corr_id, trace_id, &[payload])
-}
-
-/// [`write_frame_v2_parts`] with a trace ID: the traced scatter-gather
-/// send path.
-pub fn write_frame_v3_parts<W: Write>(
-    w: &mut W,
-    corr_id: u64,
-    trace_id: u64,
-    parts: &[&[u8]],
-) -> Result<(), FrameError> {
-    let len = parts_len(parts)?;
-    let mut header = [0u8; 28];
-    header[..4].copy_from_slice(&MAGIC_V3);
     header[4..12].copy_from_slice(&corr_id.to_le_bytes());
     header[12..20].copy_from_slice(&trace_id.to_le_bytes());
     header[20..24].copy_from_slice(&(len as u32).to_le_bytes());
@@ -237,17 +183,56 @@ pub fn write_frame_v3_parts<W: Write>(
     Ok(())
 }
 
-/// One decoded frame of any version. `corr_id` is `None` for v1 frames
-/// (the lockstep protocol has no correlation) and `Some(id)` for v2/v3.
+/// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Correlation ID (v2/v3), or `None` (v1).
-    pub corr_id: Option<u64>,
-    /// Trace ID (v3); 0 means untraced (v1/v2, or a v3 frame that chose
-    /// not to trace).
+    /// Correlation ID: a response echoes its request's.
+    pub corr_id: u64,
+    /// Trace ID; 0 means untraced.
     pub trace_id: u64,
     /// The frame payload.
     pub payload: Bytes,
+}
+
+/// The fixed header fields after the magic.
+struct Header {
+    corr_id: u64,
+    trace_id: u64,
+    len: usize,
+    crc: u32,
+}
+
+fn check_magic(magic: &[u8]) -> Result<(), FrameError> {
+    let magic: [u8; 4] = magic.try_into().expect("callers pass the 4 magic bytes");
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    Ok(())
+}
+
+/// Parse the header bytes that follow the magic, bounds-checking the
+/// declared length before anything is allocated for it.
+fn parse_header(rest: &[u8; HEADER_LEN - 4]) -> Result<Header, FrameError> {
+    let u64_at = |i: usize| u64::from_le_bytes(rest[i..i + 8].try_into().expect("8-byte field"));
+    let u32_at = |i: usize| u32::from_le_bytes(rest[i..i + 4].try_into().expect("4-byte field"));
+    let len = u32_at(16) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(len));
+    }
+    Ok(Header {
+        corr_id: u64_at(0),
+        trace_id: u64_at(8),
+        len,
+        crc: u32_at(20),
+    })
+}
+
+fn check_crc(payload: &[u8], expected: u32) -> Result<(), FrameError> {
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(FrameError::BadChecksum { expected, actual });
+    }
+    Ok(())
 }
 
 /// Read exactly `buf.len()` bytes, distinguishing clean EOF before the
@@ -275,28 +260,10 @@ fn read_exactly<R: Read>(
     Ok(())
 }
 
-/// Read the `[len u32][crc u32][payload]` tail shared by both versions.
-fn read_tail<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
-    let mut tail = [0u8; 8];
-    read_exactly(r, &mut tail, false)?;
-    let len = u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let expected = u32::from_le_bytes(tail[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(FrameError::BadChecksum { expected, actual });
-    }
-    Ok(Bytes::from(payload))
-}
-
-/// Try to decode one frame (any version) from the front of `buf` without
-/// consuming anything on failure. The readiness-driven server runtime
-/// accumulates nonblocking reads into a per-connection buffer and calls
-/// this until it returns `Ok(None)`.
+/// Try to decode one frame from the front of `buf` without consuming
+/// anything on failure. The readiness-driven server runtime accumulates
+/// nonblocking reads into a per-connection buffer and calls this until it
+/// returns `Ok(None)`.
 ///
 /// - `Ok(Some((frame, consumed)))` — a complete frame; the caller should
 ///   drop the first `consumed` bytes.
@@ -307,89 +274,40 @@ pub fn decode_slice(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
     if buf.len() < 4 {
         return Ok(None);
     }
-    let magic: [u8; 4] = buf[..4].try_into().unwrap();
-    let header_len = if magic == MAGIC {
-        12
-    } else if magic == MAGIC_V2 {
-        20
-    } else if magic == MAGIC_V3 {
-        28
-    } else {
-        return Err(FrameError::BadMagic(magic));
-    };
-    if buf.len() < header_len {
+    check_magic(&buf[..4])?;
+    if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    // The `[len u32][crc u32]` tail sits at the end of every header.
-    let len = u32::from_le_bytes(buf[header_len - 8..header_len - 4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let expected = u32::from_le_bytes(buf[header_len - 4..header_len].try_into().unwrap());
-    if buf.len() < header_len + len {
+    let h = parse_header(buf[4..HEADER_LEN].try_into().expect("length checked above"))?;
+    let Some(payload) = buf.get(HEADER_LEN..HEADER_LEN + h.len) else {
         return Ok(None);
-    }
-    let payload = &buf[header_len..header_len + len];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(FrameError::BadChecksum { expected, actual });
-    }
-    let mut trace_id = 0u64;
-    let corr_id = if magic == MAGIC {
-        None
-    } else if magic == MAGIC_V2 {
-        Some(u64::from_le_bytes(buf[4..12].try_into().unwrap()))
-    } else {
-        trace_id = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        Some(u64::from_le_bytes(buf[4..12].try_into().unwrap()))
     };
-    Ok(Some((
-        Frame {
-            corr_id,
-            trace_id,
-            payload: Bytes::copy_from_slice(payload),
-        },
-        header_len + len,
-    )))
+    check_crc(payload, h.crc)?;
+    let frame = Frame {
+        corr_id: h.corr_id,
+        trace_id: h.trace_id,
+        payload: Bytes::copy_from_slice(payload),
+    };
+    Ok(Some((frame, HEADER_LEN + h.len)))
 }
 
-/// Read one v1 frame, returning its payload. `Err(Closed)` when the peer
+/// Read one frame from a blocking stream. `Err(Closed)` when the peer
 /// shut the stream down cleanly before a new frame began.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
-    let mut magic = [0u8; 4];
-    read_exactly(r, &mut magic, true)?;
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    read_tail(r)
-}
-
-/// Read one frame of any version. v1 frames come back with
-/// `corr_id: None`; v2/v3 frames carry their correlation ID, and v3
-/// frames additionally carry a trace ID (0 elsewhere).
-pub fn read_frame_any<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-    let mut magic = [0u8; 4];
-    read_exactly(r, &mut magic, true)?;
-    let mut trace_id = 0u64;
-    let corr_id = if magic == MAGIC {
-        None
-    } else if magic == MAGIC_V2 {
-        let mut id = [0u8; 8];
-        read_exactly(r, &mut id, false)?;
-        Some(u64::from_le_bytes(id))
-    } else if magic == MAGIC_V3 {
-        let mut ids = [0u8; 16];
-        read_exactly(r, &mut ids, false)?;
-        trace_id = u64::from_le_bytes(ids[8..16].try_into().unwrap());
-        Some(u64::from_le_bytes(ids[..8].try_into().unwrap()))
-    } else {
-        return Err(FrameError::BadMagic(magic));
-    };
-    let payload = read_tail(r)?;
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
+    let mut header = [0u8; HEADER_LEN];
+    // The magic alone first, so a foreign peer is rejected without
+    // waiting for a full header it may never send.
+    read_exactly(r, &mut header[..4], true)?;
+    check_magic(&header[..4])?;
+    read_exactly(r, &mut header[4..], false)?;
+    let h = parse_header(header[4..].try_into().expect("fixed-size header"))?;
+    let mut payload = vec![0u8; h.len];
+    r.read_exact(&mut payload)?;
+    check_crc(&payload, h.crc)?;
     Ok(Frame {
-        corr_id,
-        trace_id,
-        payload,
+        corr_id: h.corr_id,
+        trace_id: h.trace_id,
+        payload: Bytes::from(payload),
     })
 }
 
@@ -398,30 +316,41 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn encode(corr_id: u64, trace_id: u64, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, corr_id, trace_id, &[payload]).unwrap();
+        buf
+    }
+
     #[test]
     fn round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello dpfs").unwrap();
-        let got = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(&got[..], b"hello dpfs");
+        let buf = encode(0x1122, 0xABCD_EF01_2345, b"hello dpfs");
+        assert_eq!(buf.len(), HEADER_LEN + 10);
+        let frame = read_frame(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(frame.corr_id, 0x1122);
+        assert_eq!(frame.trace_id, 0xABCD_EF01_2345);
+        assert_eq!(&frame.payload[..], b"hello dpfs");
     }
 
     #[test]
     fn empty_payload_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"").unwrap();
+        let buf = encode(1, 0, b"");
         let got = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert!(got.is_empty());
+        assert!(got.payload.is_empty());
     }
 
     #[test]
     fn several_frames_in_sequence() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
+        let mut buf = encode(1, 0, b"one");
+        buf.extend(encode(u64::MAX, 7, b"two"));
         let mut c = Cursor::new(&buf);
-        assert_eq!(&read_frame(&mut c).unwrap()[..], b"one");
-        assert_eq!(&read_frame(&mut c).unwrap()[..], b"two");
+        let f = read_frame(&mut c).unwrap();
+        assert_eq!((f.corr_id, f.trace_id, &f.payload[..]), (1, 0, &b"one"[..]));
+        let f = read_frame(&mut c).unwrap();
+        assert_eq!(
+            (f.corr_id, f.trace_id, &f.payload[..]),
+            (u64::MAX, 7, &b"two"[..])
+        );
         assert!(matches!(read_frame(&mut c), Err(FrameError::Closed)));
     }
 
@@ -436,19 +365,21 @@ mod tests {
 
     #[test]
     fn torn_header_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        buf.truncate(6);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::Io(_))
-        ));
+        let buf = encode(9, 10, b"payload");
+        for cut in [2usize, 6, 14, 22] {
+            assert!(
+                matches!(
+                    read_frame(&mut Cursor::new(&buf[..cut])),
+                    Err(FrameError::Io(_))
+                ),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
     fn corrupt_payload_detected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
+        let mut buf = encode(3, 4, b"payload");
         let n = buf.len();
         buf[n - 1] ^= 0xFF;
         assert!(matches!(
@@ -459,8 +390,7 @@ mod tests {
 
     #[test]
     fn bad_magic_detected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"x").unwrap();
+        let mut buf = encode(1, 0, b"x");
         buf[0] = b'X';
         assert!(matches!(
             read_frame(&mut Cursor::new(&buf)),
@@ -468,183 +398,52 @@ mod tests {
         ));
     }
 
+    /// Frames in the retired `DPFS` (no IDs) and `DPF2` (correlation ID
+    /// only) layouts are foreign bytes now: both readers refuse them at
+    /// the magic rather than misparse the rest.
     #[test]
-    fn v2_round_trip_carries_correlation_id() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 0xDEAD_BEEF_0042, b"pipelined").unwrap();
-        let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, Some(0xDEAD_BEEF_0042));
-        assert_eq!(&frame.payload[..], b"pipelined");
-    }
-
-    #[test]
-    fn read_frame_any_accepts_v1() {
-        // forward compat: a demuxing reader still understands old peers
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"legacy").unwrap();
-        let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, None);
-        assert_eq!(&frame.payload[..], b"legacy");
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_frames() {
-        // old peers see a clean BadMagic, not silent corruption
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 7, b"new").unwrap();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadMagic(m)) if m == MAGIC_V2
-        ));
-    }
-
-    #[test]
-    fn mixed_version_stream_demuxes() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 1, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
-        write_frame_v2(&mut buf, u64::MAX, b"three").unwrap();
-        let mut c = Cursor::new(&buf);
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(1), &b"one"[..]));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (None, &b"two"[..]));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(u64::MAX), &b"three"[..]));
-        assert!(matches!(read_frame_any(&mut c), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn torn_v2_header_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 9, b"payload").unwrap();
-        for cut in [2usize, 6, 14] {
-            let mut short = buf.clone();
-            short.truncate(cut);
-            assert!(
-                matches!(
-                    read_frame_any(&mut Cursor::new(&short)),
-                    Err(FrameError::Io(_))
-                ),
-                "cut at {cut}"
-            );
+    fn retired_headers_are_bad_magic() {
+        let payload = b"ping";
+        let tail = |v: &mut Vec<u8>| {
+            v.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            v.extend_from_slice(&crc32(payload).to_le_bytes());
+            v.extend_from_slice(payload);
+        };
+        let mut v1 = b"DPFS".to_vec();
+        tail(&mut v1);
+        let mut v2 = b"DPF2".to_vec();
+        v2.extend_from_slice(&7u64.to_le_bytes());
+        tail(&mut v2);
+        for (old, magic) in [(v1, *b"DPFS"), (v2, *b"DPF2")] {
+            assert!(matches!(
+                read_frame(&mut Cursor::new(&old)),
+                Err(FrameError::BadMagic(m)) if m == magic
+            ));
+            assert!(matches!(
+                decode_slice(&old),
+                Err(FrameError::BadMagic(m)) if m == magic
+            ));
         }
     }
 
     #[test]
-    fn corrupt_v2_payload_detected() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 3, b"payload").unwrap();
-        let n = buf.len();
-        buf[n - 1] ^= 0xFF;
-        assert!(matches!(
-            read_frame_any(&mut Cursor::new(&buf)),
-            Err(FrameError::BadChecksum { .. })
-        ));
-    }
-
-    #[test]
-    fn v3_round_trip_carries_both_ids() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 0x1122, 0xABCD_EF01_2345, b"traced").unwrap();
-        let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, Some(0x1122));
-        assert_eq!(frame.trace_id, 0xABCD_EF01_2345);
-        assert_eq!(&frame.payload[..], b"traced");
-    }
-
-    #[test]
-    fn v1_and_v2_frames_report_zero_trace_id() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame_v2(&mut buf, 5, b"two").unwrap();
-        let mut c = Cursor::new(&buf);
-        assert_eq!(read_frame_any(&mut c).unwrap().trace_id, 0);
-        assert_eq!(read_frame_any(&mut c).unwrap().trace_id, 0);
-    }
-
-    #[test]
-    fn v1_reader_rejects_v3_frames() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 1, 2, b"new").unwrap();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadMagic(m)) if m == MAGIC_V3
-        ));
-    }
-
-    #[test]
-    fn mixed_v123_stream_demuxes() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame_v2(&mut buf, 2, b"two").unwrap();
-        write_frame_v3(&mut buf, 3, 33, b"three").unwrap();
-        let mut c = Cursor::new(&buf);
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (None, 0));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (Some(2), 0));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (Some(3), 33));
-        assert!(matches!(read_frame_any(&mut c), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn torn_v3_header_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 9, 10, b"payload").unwrap();
-        for cut in [2usize, 6, 14, 22] {
-            let mut short = buf.clone();
-            short.truncate(cut);
-            assert!(
-                matches!(
-                    read_frame_any(&mut Cursor::new(&short)),
-                    Err(FrameError::Io(_))
-                ),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_v3_payload_detected() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 3, 4, b"payload").unwrap();
-        let n = buf.len();
-        buf[n - 1] ^= 0xFF;
-        assert!(matches!(
-            read_frame_any(&mut Cursor::new(&buf)),
-            Err(FrameError::BadChecksum { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_slice_round_trips_every_version() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame_v2(&mut buf, 2, b"two").unwrap();
-        write_frame_v3(&mut buf, 3, 33, b"three").unwrap();
+    fn decode_slice_round_trips_a_stream() {
+        let mut buf = encode(2, 0, b"two");
+        buf.extend(encode(3, 33, b"three"));
         let (f, n) = decode_slice(&buf).unwrap().unwrap();
+        assert_eq!((f.corr_id, f.trace_id, &f.payload[..]), (2, 0, &b"two"[..]));
+        let (f, n2) = decode_slice(&buf[n..]).unwrap().unwrap();
         assert_eq!(
             (f.corr_id, f.trace_id, &f.payload[..]),
-            (None, 0, &b"one"[..])
+            (3, 33, &b"three"[..])
         );
-        let rest = &buf[n..];
-        let (f, n2) = decode_slice(rest).unwrap().unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(2), &b"two"[..]));
-        let (f, n3) = decode_slice(&rest[n2..]).unwrap().unwrap();
-        assert_eq!(
-            (f.corr_id, f.trace_id, &f.payload[..]),
-            (Some(3), 33, &b"three"[..])
-        );
-        assert_eq!(n + n2 + n3, buf.len());
+        assert_eq!(n + n2, buf.len());
         assert!(decode_slice(&[]).unwrap().is_none());
     }
 
     #[test]
     fn decode_slice_needs_more_on_every_prefix() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 7, 8, b"partial").unwrap();
+        let buf = encode(7, 8, b"partial");
         for cut in 0..buf.len() {
             assert!(
                 decode_slice(&buf[..cut]).unwrap().is_none(),
@@ -660,16 +459,15 @@ mod tests {
             decode_slice(b"XXXX____"),
             Err(FrameError::BadMagic(_))
         ));
-        let mut oversized = Vec::new();
-        oversized.extend_from_slice(&MAGIC);
+        let mut oversized = MAGIC.to_vec();
+        oversized.extend_from_slice(&[0u8; 16]);
         oversized.extend_from_slice(&u32::MAX.to_le_bytes());
         oversized.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             decode_slice(&oversized),
             Err(FrameError::Oversized(_))
         ));
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 1, b"payload").unwrap();
+        let mut buf = encode(1, 0, b"payload");
         let n = buf.len();
         buf[n - 1] ^= 0xFF;
         assert!(matches!(
@@ -679,22 +477,28 @@ mod tests {
     }
 
     #[test]
-    fn parts_writers_match_contiguous_writers() {
+    fn oversized_length_rejected_without_allocation() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&[0u8; 16]);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut Cursor::new(&buf)),
+            Err(FrameError::Oversized(_))
+        ));
+    }
+
+    #[test]
+    fn split_parts_match_one_contiguous_part() {
         let payload = b"header|body-bytes|tail".to_vec();
         let parts: Vec<&[u8]> = vec![b"header|", b"", b"body-bytes|", b"tail"];
-        let mut whole = Vec::new();
-        write_frame_v2(&mut whole, 42, &payload).unwrap();
+        let whole = encode(42, 77, &payload);
         let mut split = Vec::new();
-        write_frame_v2_parts(&mut split, 42, &parts).unwrap();
+        write_frame(&mut split, 42, 77, &parts).unwrap();
         assert_eq!(whole, split);
-        let mut whole = Vec::new();
-        write_frame_v3(&mut whole, 42, 77, &payload).unwrap();
-        let mut split = Vec::new();
-        write_frame_v3_parts(&mut split, 42, 77, &parts).unwrap();
-        assert_eq!(whole, split);
-        // and the result still reads back as one frame
-        let frame = read_frame_any(&mut Cursor::new(&split)).unwrap();
-        assert_eq!((frame.corr_id, frame.trace_id), (Some(42), 77));
+        let frame = read_frame(&mut Cursor::new(&split)).unwrap();
+        assert_eq!((frame.corr_id, frame.trace_id), (42, 77));
         assert_eq!(&frame.payload[..], &payload[..]);
     }
 
@@ -704,7 +508,7 @@ mod tests {
         let parts: Vec<&[u8]> = vec![&big, &big];
         let mut out = Vec::new();
         assert!(matches!(
-            write_frame_v2_parts(&mut out, 1, &parts),
+            write_frame(&mut out, 1, 0, &parts),
             Err(FrameError::Oversized(_))
         ));
     }
@@ -749,21 +553,9 @@ mod tests {
                 out: Vec::new(),
                 cap,
             };
-            write_frame_v2_parts(&mut d, 9, &parts).unwrap();
-            let frame = read_frame_any(&mut Cursor::new(&d.out)).unwrap();
+            write_frame(&mut d, 9, 0, &parts).unwrap();
+            let frame = read_frame(&mut Cursor::new(&d.out)).unwrap();
             assert_eq!(&frame.payload[..], b"alphabeta-betag", "cap {cap}");
         }
-    }
-
-    #[test]
-    fn oversized_length_rejected_without_allocation() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::Oversized(_))
-        ));
     }
 }

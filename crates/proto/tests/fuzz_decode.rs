@@ -33,13 +33,27 @@ proptest! {
         let _ = Response::decode(Bytes::from(data));
     }
 
+    /// Garbage bytes — raw, or behind a valid magic so the header parser
+    /// is reached — never panic either reader: frames are read until an
+    /// error or EOF, and the loops must terminate.
     #[test]
-    fn frame_reader_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let mut cursor = std::io::Cursor::new(&data);
-        // read frames until error/EOF; must terminate and never panic
+    fn frame_reader_never_panics(
+        data in proptest::collection::vec(any::<u8>(), 0..2048),
+        with_magic in any::<bool>(),
+    ) {
+        let mut bytes = if with_magic { frame::MAGIC.to_vec() } else { Vec::new() };
+        bytes.extend_from_slice(&data);
+        let mut cursor = std::io::Cursor::new(&bytes);
         for _ in 0..8 {
             if frame::read_frame(&mut cursor).is_err() {
                 break;
+            }
+        }
+        let mut rest = &bytes[..];
+        for _ in 0..8 {
+            match frame::decode_slice(rest) {
+                Ok(Some((_, used))) => rest = &rest[used..],
+                Ok(None) | Err(_) => break,
             }
         }
     }

@@ -1,7 +1,7 @@
 //! `dpfs-server` — the DPFS I/O-node server.
 //!
 //! One server runs on each storage resource (paper §2). It listens on
-//! TCP — a fixed set of readiness-driven I/O shards plus a shared worker
+//! TCP — a fixed set of epoll-driven I/O shards plus a shared worker
 //! pool, so thread count is independent of connection count (see
 //! [`service`]) — and services scatter/gather read/write requests against
 //! *subfiles* — local files, one per DPFS file, holding the bricks this
@@ -37,6 +37,6 @@ pub use dpfs_obs::HistSnapshot;
 pub use handler::Handler;
 pub use perf::{PerfModel, StorageClass};
 pub use server::{IoServer, ServerConfig};
-pub use service::{RuntimeMode, ServeConfig, ServeCore, Service, CONN_WORKERS};
+pub use service::{ServeCore, Service};
 pub use stats::{ServerStats, StatsSnapshot};
 pub use subfile::{StoreError, SubfileStore};

@@ -13,11 +13,9 @@ use dpfs_proto::{Request, Response};
 
 use crate::handler::Handler;
 use crate::perf::PerfModel;
-use crate::service::{RuntimeMode, ServeConfig, ServeCore, Service};
+use crate::service::{ServeCore, Service};
 use crate::stats::StatsSnapshot;
 use crate::subfile::SubfileStore;
-
-pub use crate::service::CONN_WORKERS;
 
 /// Configuration for one I/O server.
 #[derive(Debug, Clone)]
@@ -33,8 +31,6 @@ pub struct ServerConfig {
     pub perf: PerfModel,
     /// Listen address; `127.0.0.1:0` (ephemeral localhost port) by default.
     pub bind: String,
-    /// Serving-runtime selection and sizing (readiness shards by default).
-    pub runtime: ServeConfig,
 }
 
 impl ServerConfig {
@@ -46,7 +42,6 @@ impl ServerConfig {
             capacity: 0,
             perf,
             bind: "127.0.0.1:0".to_string(),
-            runtime: ServeConfig::default(),
         }
     }
 
@@ -54,13 +49,6 @@ impl ServerConfig {
     /// deployment).
     pub fn bind(mut self, addr: &str) -> Self {
         self.bind = addr.to_string();
-        self
-    }
-
-    /// Select a serving runtime (ablation baselines use
-    /// [`RuntimeMode::ThreadPerConn`]).
-    pub fn runtime(mut self, mode: RuntimeMode) -> Self {
-        self.runtime.mode = mode;
         self
     }
 }
@@ -93,7 +81,7 @@ impl IoServer {
         let store = SubfileStore::open(&config.root, config.capacity)
             .map_err(|e| io::Error::other(e.to_string()))?;
         let handler = Arc::new(Handler::new(&config.name, store, config.perf));
-        let core = ServeCore::start_with(&config.bind, handler.clone(), config.runtime)?;
+        let core = ServeCore::start(&config.bind, handler.clone())?;
         Ok(IoServer {
             name: config.name,
             handler,
@@ -121,30 +109,21 @@ impl IoServer {
         &self.handler
     }
 
-    /// Number of currently open client connections. (Connection threads
+    /// Number of currently open client connections. (Connections
     /// deregister asynchronously after the peer closes, so a just-closed
     /// connection may be counted briefly.)
     pub fn open_connections(&self) -> usize {
         self.core.open_connections()
     }
 
-    /// Number of per-connection threads not yet reaped (0 after [`stop`],
-    /// and always 0 in the readiness runtime, which has none).
-    ///
-    /// [`stop`]: IoServer::stop
-    pub fn live_connection_threads(&self) -> usize {
-        self.core.live_connection_threads()
-    }
-
-    /// Threads the serving runtime owns independent of connections
-    /// (acceptor + shards + workers). Fixed at start in the readiness
-    /// runtime — the C10K invariant.
+    /// Threads the serving runtime owns (acceptor + shards + workers),
+    /// fixed at start independent of connections — the C10K invariant.
     pub fn runtime_threads(&self) -> usize {
         self.core.runtime_threads()
     }
 
-    /// Stop accepting, sever live connections, and join the accept thread
-    /// *and every connection thread*. When this returns, the listener is
+    /// Stop accepting, drain or sever live connections, and join every
+    /// runtime thread. When this returns, the listener is
     /// closed, no server thread is running, and the port can be rebound
     /// immediately — a later restart on the same address never races a
     /// lingering listener or half-dead connection handler.
@@ -161,27 +140,22 @@ mod tests {
     use std::net::TcpStream;
 
     fn start_server(tag: &str) -> (IoServer, PathBuf) {
-        start_server_mode(tag, RuntimeMode::Readiness)
-    }
-
-    fn start_server_mode(tag: &str, mode: RuntimeMode) -> (IoServer, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "dpfs-server-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let server = IoServer::start(
-            ServerConfig::new("test", &dir, PerfModel::unthrottled()).runtime(mode),
-        )
-        .unwrap();
+        let server =
+            IoServer::start(ServerConfig::new("test", &dir, PerfModel::unthrottled())).unwrap();
         (server, dir)
     }
 
     fn rpc(stream: &mut TcpStream, req: Request) -> Response {
-        frame::write_frame(stream, &req.encode()).unwrap();
-        let payload = frame::read_frame(stream).unwrap();
-        Response::decode(payload).unwrap()
+        frame::write_frame(stream, 1, 0, &[&req.encode()]).unwrap();
+        let reply = frame::read_frame(stream).unwrap();
+        assert_eq!(reply.corr_id, 1, "the reply echoes the correlation ID");
+        Response::decode(reply.payload).unwrap()
     }
 
     #[test]
@@ -254,18 +228,49 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A well-formed `Ping` in a retired header layout: `DPFS` (no IDs)
+    /// or `DPF2` (correlation ID only).
+    fn retired_ping(magic: &[u8; 4]) -> Vec<u8> {
+        let payload = Request::Ping.encode();
+        let mut buf = magic.to_vec();
+        if magic == b"DPF2" {
+            buf.extend_from_slice(&7u64.to_le_bytes());
+        }
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&frame::crc32(&payload).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        buf
+    }
+
     #[test]
     fn garbage_frame_drops_connection_cleanly() {
-        use std::io::Write;
+        use std::io::{Read, Write};
         let (server, dir) = start_server("garbage");
-        let mut c = TcpStream::connect(server.addr()).unwrap();
-        c.write_all(b"NOTDPFS_GARBAGE_____").unwrap();
-        // server should close on us; a read sees EOF eventually
-        let res = frame::read_frame(&mut c);
-        assert!(res.is_err());
-        // server still alive for new connections
-        let mut c2 = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(rpc(&mut c2, Request::Ping), Response::Pong);
+        let inputs = [
+            b"NOTDPFS_GARBAGE_____".to_vec(),
+            retired_ping(b"DPFS"),
+            retired_ping(b"DPF2"),
+        ];
+        for input in inputs {
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            c.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            c.write_all(&input).unwrap();
+            // The server closes on us without a reply: the first read is
+            // EOF (or a reset), never a byte and never a wait.
+            let mut buf = [0u8; 1];
+            let closed = match c.read(&mut buf) {
+                Ok(n) => n == 0,
+                Err(e) => !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+            };
+            assert!(closed, "{:?} was not refused", &input[..4]);
+            // ...and is still alive for new connections.
+            let mut c2 = TcpStream::connect(server.addr()).unwrap();
+            assert_eq!(rpc(&mut c2, Request::Ping), Response::Pong);
+        }
         drop(server);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -313,48 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn stop_reaps_connection_threads_and_frees_port() {
-        // Regression (ThreadPerConn baseline): connection threads used to
-        // be spawned detached, so stop() returned while handlers (and,
-        // transitively, anything racing the listener port) were still
-        // alive. stop() must join every server thread; the port must be
-        // immediately rebindable.
-        let (mut server, dir) = start_server_mode("reap", RuntimeMode::ThreadPerConn);
-        let addr = server.addr();
-        let mut clients: Vec<TcpStream> =
-            (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        for c in clients.iter_mut() {
-            assert_eq!(rpc(c, Request::Ping), Response::Pong);
-        }
-        assert!(server.live_connection_threads() >= 1);
-        server.stop();
-        assert_eq!(
-            server.live_connection_threads(),
-            0,
-            "stop() must reap every connection thread"
-        );
-        assert_eq!(server.open_connections(), 0);
-        // Same port, immediately: no lingering listener to race.
-        for round in 0..3 {
-            let cfg =
-                ServerConfig::new("test", &dir, PerfModel::unthrottled()).bind(&addr.to_string());
-            let mut restarted = IoServer::start(cfg)
-                .unwrap_or_else(|e| panic!("round {round}: rebind of {addr} failed: {e}"));
-            assert_eq!(restarted.addr(), addr);
-            let mut c = TcpStream::connect(addr).unwrap();
-            assert_eq!(rpc(&mut c, Request::Ping), Response::Pong);
-            drop(c);
-            restarted.stop();
-            assert_eq!(restarted.live_connection_threads(), 0);
-        }
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn readiness_thread_count_is_flat_and_stop_frees_port() {
         // The C10K invariant at unit scale: the readiness runtime never
         // grows a thread per connection, and stop() leaves the port
-        // immediately rebindable (same guarantee the baseline test pins).
+        // immediately rebindable.
         let (mut server, dir) = start_server("flat");
         let addr = server.addr();
         let fixed = server.runtime_threads();
@@ -369,7 +336,6 @@ mod tests {
             fixed,
             "16 connections must not change the thread count"
         );
-        assert_eq!(server.live_connection_threads(), 0);
         server.stop();
         assert_eq!(server.open_connections(), 0);
         for round in 0..3 {
@@ -398,61 +364,58 @@ mod tests {
 
     /// A wire `Request::Shutdown` must quiesce the whole server on its
     /// own — wake the acceptor, sever idle connections, close the
-    /// listener — without a follow-up connection (which is exactly what
-    /// the old runtime needed: only stop()'s self-dial ever unblocked
-    /// accept()).
+    /// listener — without a follow-up connection dialing in to wake the
+    /// acceptor.
     #[test]
     fn wire_shutdown_quiesces_without_a_followup_connection() {
-        for mode in [RuntimeMode::Readiness, RuntimeMode::ThreadPerConn] {
-            let (server, dir) = start_server_mode("wiredrain", mode);
-            let addr = server.addr();
-            // An *idle* second connection: nothing will ever poke it.
-            let mut idle = TcpStream::connect(addr).unwrap();
-            assert_eq!(rpc(&mut idle, Request::Ping), Response::Pong);
-            let mut c = TcpStream::connect(addr).unwrap();
-            assert_eq!(
-                rpc(&mut c, Request::Shutdown),
-                Response::Pong,
-                "{mode:?}: shutdown must be acknowledged before the drain"
-            );
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            // The idle connection gets severed...
-            idle.set_read_timeout(Some(std::time::Duration::from_millis(50)))
-                .unwrap();
-            let mut scratch = [0u8; 1];
-            loop {
-                use std::io::Read;
-                match idle.read(&mut scratch) {
-                    Ok(0) => break, // EOF: severed
-                    Ok(_) => panic!("{mode:?}: unsolicited bytes on the idle connection"),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        assert!(
-                            std::time::Instant::now() < deadline,
-                            "{mode:?}: idle connection never severed by wire shutdown"
-                        );
-                    }
-                    Err(_) => break, // reset: also severed
+        let (server, dir) = start_server("wiredrain");
+        let addr = server.addr();
+        // An *idle* second connection: nothing will ever poke it.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        assert_eq!(rpc(&mut idle, Request::Ping), Response::Pong);
+        let mut c = TcpStream::connect(addr).unwrap();
+        assert_eq!(
+            rpc(&mut c, Request::Shutdown),
+            Response::Pong,
+            "shutdown must be acknowledged before the drain"
+        );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        // The idle connection gets severed...
+        idle.set_read_timeout(Some(std::time::Duration::from_millis(50)))
+            .unwrap();
+        let mut scratch = [0u8; 1];
+        loop {
+            use std::io::Read;
+            match idle.read(&mut scratch) {
+                Ok(0) => break, // EOF: severed
+                Ok(_) => panic!("unsolicited bytes on the idle connection"),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "idle connection never severed by wire shutdown"
+                    );
                 }
+                Err(_) => break, // reset: also severed
             }
-            // ...and the listener closes, with no client ever dialing in
-            // to wake it.
-            loop {
-                match TcpStream::connect(addr) {
-                    Err(_) => break,
-                    Ok(_) => {
-                        assert!(
-                            std::time::Instant::now() < deadline,
-                            "{mode:?}: listener still accepting after wire shutdown"
-                        );
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                }
-            }
-            drop(server);
-            std::fs::remove_dir_all(dir).unwrap();
         }
+        // ...and the listener closes, with no client ever dialing in
+        // to wake it.
+        loop {
+            match TcpStream::connect(addr) {
+                Err(_) => break,
+                Ok(_) => {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "listener still accepting after wire shutdown"
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            }
+        }
+        drop(server);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

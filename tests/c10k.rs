@@ -3,9 +3,7 @@
 //!
 //! The readiness runtime multiplexes all connections over a handful of
 //! shard threads plus a shared worker pool, so the process thread count
-//! is a function of configuration, not load. The thread-per-connection
-//! baseline (kept as [`RuntimeMode::ThreadPerConn`] for ablation) would
-//! need `5 × connections` threads for the same job.
+//! is a function of configuration, not load.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -14,10 +12,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dpfs::proto::{frame, Request, Response};
-use dpfs::server::{IoServer, PerfModel, RuntimeMode, ServerConfig};
+use dpfs::server::{IoServer, PerfModel, ServerConfig};
 
 /// Serializes the tests in this binary: both measure process-wide state
-/// (`/proc/self/status` threads, wall-clock latency on one core).
+/// (`/proc/self/status` threads, wall-clock time on one core).
 static SEQUENTIAL: Mutex<()> = Mutex::new(());
 
 /// Current thread count of this process, from `/proc/self/status`.
@@ -30,11 +28,10 @@ fn process_threads() -> usize {
         .unwrap()
 }
 
-fn start_server(tag: &str, mode: RuntimeMode) -> IoServer {
+fn start_server(tag: &str) -> IoServer {
     let root = std::env::temp_dir().join(format!("dpfs-c10k-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    IoServer::start(ServerConfig::new("c10k00", root, PerfModel::unthrottled()).runtime(mode))
-        .unwrap()
+    IoServer::start(ServerConfig::new("c10k00", root, PerfModel::unthrottled())).unwrap()
 }
 
 /// The 64-byte pattern connection `i` writes and expects back.
@@ -49,7 +46,7 @@ fn c10k_byte_exact_service_on_a_flat_thread_budget() {
     let _guard = SEQUENTIAL.lock().unwrap();
     const N: usize = 1024;
 
-    let server = start_server("flat", RuntimeMode::Readiness);
+    let server = start_server("flat");
     let addr = server.addr();
     let fixed = server.runtime_threads();
 
@@ -75,11 +72,11 @@ fn c10k_byte_exact_service_on_a_flat_thread_budget() {
             subfile: "/c10k.dat".into(),
             ranges: vec![(i as u64 * 64, Bytes::from(pattern(i)))],
         };
-        frame::write_frame_v2(c, i as u64, &req.encode()).unwrap();
+        frame::write_frame(c, i as u64, 0, &[&req.encode()]).unwrap();
     }
     for (i, c) in conns.iter_mut().enumerate() {
-        let f = frame::read_frame_any(c).unwrap();
-        assert_eq!(f.corr_id, Some(i as u64), "corr-ID echo broke under load");
+        let f = frame::read_frame(c).unwrap();
+        assert_eq!(f.corr_id, i as u64, "corr-ID echo broke under load");
         match Response::decode(f.payload).unwrap() {
             Response::Written { bytes } => assert_eq!(bytes, 64),
             other => panic!("conn {i}: expected Written, got {other:?}"),
@@ -106,11 +103,11 @@ fn c10k_byte_exact_service_on_a_flat_thread_budget() {
             subfile: "/c10k.dat".into(),
             ranges: vec![(i as u64 * 64, 64)],
         };
-        frame::write_frame_v2(c, (N + i) as u64, &req.encode()).unwrap();
+        frame::write_frame(c, (N + i) as u64, 0, &[&req.encode()]).unwrap();
     }
     for (i, c) in conns.iter_mut().enumerate() {
-        let f = frame::read_frame_any(c).unwrap();
-        assert_eq!(f.corr_id, Some((N + i) as u64));
+        let f = frame::read_frame(c).unwrap();
+        assert_eq!(f.corr_id, (N + i) as u64);
         match Response::decode(f.payload).unwrap() {
             Response::Data { chunks } => {
                 assert_eq!(chunks.len(), 1);
@@ -132,95 +129,13 @@ fn c10k_byte_exact_service_on_a_flat_thread_budget() {
     drop(conns);
 }
 
-/// Drive `conns` client connections, each issuing `per_conn` sequential
-/// 4 KiB reads, and return the server-side read-latency p99 (ns) plus
-/// the wall-clock time for the whole workload.
-fn read_p99_at(mode: RuntimeMode, tag: &str, conns: usize, per_conn: usize) -> (u64, Duration) {
-    let server = start_server(tag, mode);
-    let addr = server.addr();
-    let start = Instant::now();
-
-    // Each connection owns its subfile: same-subfile requests serialize
-    // on the store's per-subfile lock by design, and this comparison is
-    // about the runtime, not about piling every connection onto one
-    // device queue.
-    std::thread::scope(|s| {
-        for t in 0..conns {
-            s.spawn(move || {
-                let mut c = TcpStream::connect(addr).unwrap();
-                c.set_nodelay(true).unwrap();
-                let subfile = format!("/p99-{t}.dat");
-                let req = Request::Write {
-                    subfile: subfile.clone(),
-                    ranges: vec![(0, Bytes::from(vec![5u8; 4096]))],
-                };
-                frame::write_frame_v2(&mut c, u64::MAX, &req.encode()).unwrap();
-                let f = frame::read_frame_any(&mut c).unwrap();
-                assert!(matches!(
-                    Response::decode(f.payload).unwrap(),
-                    Response::Written { .. }
-                ));
-                for n in 0..per_conn {
-                    let req = Request::Read {
-                        subfile: subfile.clone(),
-                        ranges: vec![(0, 4096)],
-                    };
-                    let id = (t * per_conn + n) as u64;
-                    frame::write_frame_v2(&mut c, id, &req.encode()).unwrap();
-                    let f = frame::read_frame_any(&mut c).unwrap();
-                    assert_eq!(f.corr_id, Some(id));
-                }
-            });
-        }
-    });
-
-    let elapsed = start.elapsed();
-    let p99 = server.stats().read_latency.p99();
-    assert!(p99 > 0, "no read latencies recorded");
-    (p99, elapsed)
-}
-
-#[test]
-fn readiness_p99_does_not_regress_at_64_connections() {
-    let _guard = SEQUENTIAL.lock().unwrap();
-    // 64 concurrent connections, sequential reads each: the readiness
-    // runtime must stay in the same regime as the thread-per-connection
-    // baseline on both axes.
-    //
-    // - Service-time p99 from the server's own histograms: bounded by
-    //   3x + 25 ms. The absolute slack is scheduler granularity, not
-    //   sloppiness — on a small CPU count the pool's hot worker threads
-    //   get preempted *mid-dispatch* by the burst of clients each flushed
-    //   response batch wakes, so a ~30 us handler occasionally measures a
-    //   full timeslice. A runtime bug that serializes dispatch or holds a
-    //   lock across handlers scales with load and still blows through it.
-    // - Wall-clock for the whole workload: bounded by 3x + 1 s. This is
-    //   the throughput guard the histogram can't provide (queue wait is
-    //   not part of handler service time): queueing collapse in the
-    //   shared pool stalls completion and fails here.
-    let (old_p99, old_wall) = read_p99_at(RuntimeMode::ThreadPerConn, "p99-old", 64, 24);
-    let (new_p99, new_wall) = read_p99_at(RuntimeMode::Readiness, "p99-new", 64, 24);
-    let p99_bound = old_p99
-        .saturating_mul(3)
-        .saturating_add(Duration::from_millis(25).as_nanos() as u64);
-    assert!(
-        new_p99 <= p99_bound,
-        "readiness read p99 {new_p99} ns regressed past {p99_bound} ns (baseline {old_p99} ns)"
-    );
-    let wall_bound = old_wall * 3 + Duration::from_secs(1);
-    assert!(
-        new_wall <= wall_bound,
-        "readiness workload took {new_wall:?}, past {wall_bound:?} (baseline {old_wall:?})"
-    );
-}
-
 #[test]
 fn c10k_connections_settle_before_a_deadline() {
     let _guard = SEQUENTIAL.lock().unwrap();
     // Liveness companion to the flat-budget test: the whole 1k-connection
     // write+read cycle completes promptly — no connection starves behind
     // the others on the shared shards.
-    let server = start_server("deadline", RuntimeMode::Readiness);
+    let server = start_server("deadline");
     let addr = server.addr();
     let start = Instant::now();
     let mut conns: Vec<TcpStream> = (0..256)
@@ -228,12 +143,12 @@ fn c10k_connections_settle_before_a_deadline() {
         .collect();
     for (i, c) in conns.iter_mut().enumerate() {
         let req = Request::Ping;
-        frame::write_frame_v2(c, i as u64, &req.encode()).unwrap();
+        frame::write_frame(c, i as u64, 0, &[&req.encode()]).unwrap();
         c.flush().unwrap();
     }
     for (i, c) in conns.iter_mut().enumerate() {
-        let f = frame::read_frame_any(c).unwrap();
-        assert_eq!(f.corr_id, Some(i as u64));
+        let f = frame::read_frame(c).unwrap();
+        assert_eq!(f.corr_id, i as u64);
     }
     assert!(
         start.elapsed() < Duration::from_secs(30),

@@ -32,7 +32,7 @@ fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
             std::thread::spawn(move || {
-                while let Ok(f) = frame::read_frame_any(&mut stream) {
+                while let Ok(f) = frame::read_frame(&mut stream) {
                     let Ok(req) = Request::decode(f.payload) else {
                         return;
                     };
@@ -45,8 +45,9 @@ fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
                         },
                         _ => Response::Pong,
                     };
-                    let id = f.corr_id.unwrap_or(0);
-                    if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
+                    if frame::write_frame(&mut stream, f.corr_id, f.trace_id, &[&resp.encode()])
+                        .is_err()
+                    {
                         return;
                     }
                 }
@@ -71,7 +72,7 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
             std::thread::spawn(move || {
-                while let Ok(f) = frame::read_frame_any(&mut stream) {
+                while let Ok(f) = frame::read_frame(&mut stream) {
                     let Ok(req) = Request::decode(f.payload) else {
                         return;
                     };
@@ -94,8 +95,9 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
                         },
                         _ => Response::Pong,
                     };
-                    let id = f.corr_id.unwrap_or(0);
-                    if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
+                    if frame::write_frame(&mut stream, f.corr_id, f.trace_id, &[&resp.encode()])
+                        .is_err()
+                    {
                         return;
                     }
                 }

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dpfs::proto::{frame, Request, Response};
-use dpfs::server::{ServeConfig, ServeCore, Service};
+use dpfs::server::service::SHARDS;
+use dpfs::server::{ServeCore, Service};
 
 struct PingService;
 
@@ -59,15 +60,15 @@ fn idle_server_makes_no_wakeups() {
     let mut client = TcpStream::connect(server.addr()).unwrap();
     // One round trip first, so the connection is accepted, handed to its
     // shard and served before counting starts.
-    frame::write_frame_v2(&mut client, 1, &Request::Ping.encode()).unwrap();
-    let reply = frame::read_frame_any(&mut client).unwrap();
+    frame::write_frame(&mut client, 1, 0, &[&Request::Ping.encode()]).unwrap();
+    let reply = frame::read_frame(&mut client).unwrap();
     assert_eq!(Response::decode(reply.payload).unwrap(), Response::Pong);
 
     let pollers = ["dpfs-accept-", "dpfs-shard-"];
     let before = voluntary_switches(&pollers);
     assert_eq!(
         before.len(),
-        1 + ServeConfig::default().shards,
+        1 + SHARDS,
         "expected the acceptor and every shard: {before:?}"
     );
     std::thread::sleep(Duration::from_millis(300));

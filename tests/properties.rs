@@ -395,15 +395,10 @@ proptest! {
 
 // ---------- wire robustness: corrupted frames error, never panic ----------
 
-/// Encode `payload` as a v1, v2, or v3 frame depending on `version`.
-fn encode_frame_version(version: u8, corr: u64, trace: u64, payload: &[u8]) -> Vec<u8> {
-    use dpfs::proto::frame;
+/// Encode `payload` as one frame.
+fn encode_frame(corr: u64, trace: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
-    match version {
-        0 => frame::write_frame(&mut buf, payload).unwrap(),
-        1 => frame::write_frame_v2(&mut buf, corr, payload).unwrap(),
-        _ => frame::write_frame_v3(&mut buf, corr, trace, payload).unwrap(),
-    }
+    dpfs::proto::frame::write_frame(&mut buf, corr, trace, &[payload]).unwrap();
     buf
 }
 
@@ -411,46 +406,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A frame truncated at ANY interior byte — mid-magic, mid-header,
-    /// mid-payload — decodes to a clean error. Reading from a slice means a
-    /// short frame hits EOF rather than blocking, so this also proves the
-    /// decoder never over-reads.
+    /// mid-payload — decodes to a clean error from the blocking reader
+    /// (reading from a slice means a short frame hits EOF rather than
+    /// blocking, so this also proves the decoder never over-reads), and
+    /// to "need more bytes" from the buffered decoder the server runs.
     #[test]
     fn truncated_frames_error_cleanly(
-        version in 0u8..3,
         corr in any::<u64>(),
         trace in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..256),
         cut_pick in any::<usize>(),
     ) {
-        let buf = encode_frame_version(version, corr, trace, &payload);
+        let buf = encode_frame(corr, trace, &payload);
         let cut = cut_pick % buf.len(); // strict prefix: 0..len
         let mut reader = &buf[..cut];
-        let res = dpfs::proto::frame::read_frame_any(&mut reader);
+        let res = dpfs::proto::frame::read_frame(&mut reader);
         prop_assert!(res.is_err(), "truncated frame decoded: cut {cut}/{}", buf.len());
+        let res = dpfs::proto::frame::decode_slice(&buf[..cut]);
+        prop_assert!(
+            matches!(res, Ok(None)),
+            "decode_slice must ask for more on a strict prefix: cut {cut}/{}",
+            buf.len()
+        );
     }
 
-    /// A single flipped bit anywhere in the frame never panics the decoder,
-    /// and can never smuggle a CORRUPTED payload through: CRC-32 detects
-    /// every 1-bit payload error, so a successful decode means the payload
-    /// survived intact (the flip landed in an unprotected header field like
-    /// the correlation or trace ID).
+    /// A single flipped bit anywhere in the frame never panics either
+    /// decoder, and can never smuggle a CORRUPTED payload through: CRC-32
+    /// detects every 1-bit payload error, so a successful decode means the
+    /// payload survived intact (the flip landed in an unprotected header
+    /// field like the correlation or trace ID).
     #[test]
     fn bit_flips_never_panic_or_corrupt_payload(
-        version in 0u8..3,
         corr in any::<u64>(),
         trace in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..256),
         pos_pick in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut buf = encode_frame_version(version, corr, trace, &payload);
+        let mut buf = encode_frame(corr, trace, &payload);
         let pos = pos_pick % buf.len();
         buf[pos] ^= 1 << bit;
         let mut reader = &buf[..];
-        if let Ok(f) = dpfs::proto::frame::read_frame_any(&mut reader) {
+        if let Ok(f) = dpfs::proto::frame::read_frame(&mut reader) {
             prop_assert_eq!(
                 &f.payload[..], &payload[..],
                 "corrupted payload slipped past the checksum (flipped bit {bit} at {pos})"
+            );
+        }
+        if let Ok(Some((f, _))) = dpfs::proto::frame::decode_slice(&buf) {
+            prop_assert_eq!(
+                &f.payload[..], &payload[..],
+                "decode_slice let a corrupted payload through (flipped bit {bit} at {pos})"
             );
         }
     }

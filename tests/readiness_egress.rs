@@ -5,12 +5,10 @@
 //!   leaves bytes over and the shard finishes them once the socket turns
 //!   writable;
 //! - a peer that half-closes with requests still in flight, which must
-//!   get every owed reply before the server closes;
-//! - uncorrelated (wire v1) frames sent back to back, which wait decoded-
-//!   ready behind the lockstep gate until each reply reopens it.
+//!   get every owed reply before the server closes.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
@@ -44,8 +42,8 @@ fn connect_with_file(server: &IoServer, subfile: &str, data: &[u8]) -> TcpStream
         subfile: subfile.into(),
         ranges: vec![(0, Bytes::from(data.to_vec()))],
     };
-    frame::write_frame_v2(&mut c, u64::MAX, &req.encode()).unwrap();
-    let f = frame::read_frame_any(&mut c).unwrap();
+    frame::write_frame(&mut c, u64::MAX, 0, &[&req.encode()]).unwrap();
+    let f = frame::read_frame(&mut c).unwrap();
     assert_eq!(
         Response::decode(f.payload).unwrap(),
         Response::Written {
@@ -87,14 +85,14 @@ fn replies_larger_than_the_socket_buffer_finish_byte_exact() {
     // to fill both socket buffers and the rest to queue behind it.
     for i in 0..N {
         let req = read_req("/large.dat", i * STEP, LEN);
-        frame::write_frame_v2(&mut c, i as u64, &req).unwrap();
+        frame::write_frame(&mut c, i as u64, 0, &[&req]).unwrap();
     }
     std::thread::sleep(Duration::from_millis(200));
 
     let mut seen = [false; N];
     for _ in 0..N {
-        let f = frame::read_frame_any(&mut c).unwrap();
-        let i = f.corr_id.expect("correlated reply") as usize;
+        let f = frame::read_frame(&mut c).unwrap();
+        let i = f.corr_id as usize;
         assert!(i < N && !seen[i], "unexpected or repeated reply {i}");
         seen[i] = true;
         let got = data_of(f);
@@ -115,7 +113,7 @@ fn half_closed_peer_still_gets_every_owed_reply() {
 
     for i in 0..N {
         let req = read_req("/half.dat", i * 512, LEN);
-        frame::write_frame_v2(&mut c, i as u64, &req).unwrap();
+        frame::write_frame(&mut c, i as u64, 0, &[&req]).unwrap();
     }
     // FIN right behind the requests: the server sees EOF while most of
     // the replies are still being produced or flushed.
@@ -123,8 +121,8 @@ fn half_closed_peer_still_gets_every_owed_reply() {
 
     let mut got: HashMap<u64, Bytes> = HashMap::new();
     for _ in 0..N {
-        let f = frame::read_frame_any(&mut c).unwrap();
-        let id = f.corr_id.expect("correlated reply");
+        let f = frame::read_frame(&mut c).unwrap();
+        let id = f.corr_id;
         assert!(got.insert(id, data_of(f)).is_none(), "reply {id} twice");
     }
     for i in 0..N {
@@ -135,29 +133,4 @@ fn half_closed_peer_still_gets_every_owed_reply() {
     }
     // Everything owed was sent, so the server closes its side.
     assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "expected EOF");
-}
-
-#[test]
-fn back_to_back_v1_frames_are_answered_in_order() {
-    const N: usize = 4;
-    let server = start_server("v1");
-    let data = content(N * 100);
-    let mut c = connect_with_file(&server, "/v1.dat", &data);
-
-    // One write carries every frame, so all but the first arrive while
-    // the gate is closed.
-    let mut burst = Vec::new();
-    for i in 0..N {
-        frame::write_frame(&mut burst, &read_req("/v1.dat", i * 100, 100)).unwrap();
-    }
-    c.write_all(&burst).unwrap();
-
-    for i in 0..N {
-        let f = frame::read_frame_any(&mut c).unwrap();
-        assert_eq!(f.corr_id, None, "v1 peers must get v1 replies");
-        assert!(
-            data_of(f)[..] == data[i * 100..(i + 1) * 100],
-            "v1 reply {i} out of order"
-        );
-    }
 }

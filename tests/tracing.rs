@@ -4,18 +4,15 @@
 //!   trace: the client's plan/submit/await phases and every involved
 //!   server's queue/device/delay/handle events share one trace ID;
 //! - the `Stats` RPC returns a decodable snapshot with populated latency
-//!   histograms;
-//! - v1 lockstep peers (bare frames, no correlation or trace IDs) still
-//!   interoperate with a server that now speaks v3.
+//!   histograms.
 
 use std::collections::HashSet;
-use std::net::TcpStream;
 use std::time::Duration;
 
 use dpfs::cluster::{NodeSpec, Testbed};
 use dpfs::core::trace::{ring, Side};
 use dpfs::core::{ClientOptions, Hint};
-use dpfs::proto::{frame, Request, Response};
+use dpfs::proto::{Request, Response};
 use dpfs::server::{PerfModel, StatsSnapshot};
 
 /// Servers with enough injected latency that queue/device/delay spans have
@@ -141,29 +138,5 @@ fn stats_rpc_returns_live_histograms() {
             "{name}: read p50 {}ns below injected delay",
             snap.read_latency.p50()
         );
-    }
-}
-
-#[test]
-fn v1_lockstep_peer_still_interoperates() {
-    let tb = Testbed::unthrottled(1).unwrap();
-    // A trace-aware client exercises the server with v3 frames first.
-    let client = tb.client_opts(ClientOptions::default());
-    client.create("/v1", &Hint::linear(512, 512)).unwrap();
-    {
-        let mut f = client.open("/v1").unwrap();
-        f.write_bytes(0, &[9u8; 512]).unwrap();
-    }
-
-    // Now a bare v1 peer: un-multiplexed frames, no correlation or trace
-    // IDs, strict lockstep. The server must answer in kind (v1 frames).
-    let addr = tb.resolver().resolve("ion00").to_string();
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    for _ in 0..3 {
-        frame::write_frame(&mut stream, &Request::Ping.encode()).unwrap();
-        let f = frame::read_frame_any(&mut stream).unwrap();
-        assert_eq!(f.corr_id, None, "v1 peers must get v1 replies");
-        assert_eq!(f.trace_id, 0);
-        assert_eq!(Response::decode(f.payload).unwrap(), Response::Pong);
     }
 }

@@ -1,9 +1,7 @@
-//! Transport-level proofs for the multiplexed wire protocol (v2):
+//! Transport-level proofs for the multiplexed wire protocol:
 //!
 //! - two requests pipelined on ONE server connection overlap their service
 //!   time (~D, not ~2D) — the point of correlation IDs;
-//! - the lockstep ablation gate restores PR 1's one-in-flight behaviour
-//!   (~2D) on the same rig;
 //! - a request that exceeds its deadline surfaces a typed `Timeout` within
 //!   bound, pending peers on the poisoned connection get transport errors
 //!   instead of hanging, and the next RPC redials successfully;
@@ -93,33 +91,6 @@ fn two_requests_pipeline_on_one_connection() {
     );
 }
 
-#[test]
-fn lockstep_gate_serializes_one_connection() {
-    let tb = one_delayed_server();
-    let client = tb.client_opts(ClientOptions::default());
-    let pool = client.pool();
-    pool.rpc("ion00", &Request::Ping).unwrap(); // warm up the dial
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| pool.rpc_lockstep("ion00", &delayed_req()).unwrap());
-        let h2 = scope.spawn(|| pool.rpc_lockstep("ion00", &delayed_req()).unwrap());
-        h1.join().unwrap();
-        h2.join().unwrap();
-    });
-    let elapsed = start.elapsed();
-
-    // sleep() guarantees at least the full duration, so with one RPC in
-    // flight at a time the lower bound is exact: 2×DELAY back-to-back.
-    assert!(
-        elapsed >= DELAY * 2,
-        "lockstep round-trips took {elapsed:?}, expected at least {:?}",
-        DELAY * 2
-    );
-    let stats = pool.transport_stats("ion00").unwrap();
-    assert_eq!(stats.dials, 1);
-}
-
 /// A server whose FIRST connection swallows requests without ever replying;
 /// every later connection answers `Pong` properly. Models a hung server
 /// that recovers by the time the client redials.
@@ -153,12 +124,18 @@ fn swallow(mut stream: TcpStream) {
 }
 
 fn serve_pong(mut stream: TcpStream) {
-    while let Ok(f) = frame::read_frame_any(&mut stream) {
+    while let Ok(f) = frame::read_frame(&mut stream) {
         if Request::decode(f.payload).is_err() {
             return;
         }
-        let id = f.corr_id.unwrap_or(0);
-        if frame::write_frame_v2(&mut stream, id, &Response::Pong.encode()).is_err() {
+        if frame::write_frame(
+            &mut stream,
+            f.corr_id,
+            f.trace_id,
+            &[&Response::Pong.encode()],
+        )
+        .is_err()
+        {
             return;
         }
     }
@@ -229,13 +206,14 @@ fn start_shutting_down_server() -> SocketAddr {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
             std::thread::spawn(move || {
-                while let Ok(f) = frame::read_frame_any(&mut stream) {
+                while let Ok(f) = frame::read_frame(&mut stream) {
                     let resp = Response::Error {
                         code: ErrorCode::ShuttingDown,
                         message: "draining".into(),
                     };
-                    let id = f.corr_id.unwrap_or(0);
-                    if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
+                    if frame::write_frame(&mut stream, f.corr_id, f.trace_id, &[&resp.encode()])
+                        .is_err()
+                    {
                         return;
                     }
                 }
@@ -277,7 +255,7 @@ fn start_drop_first_request_server() -> SocketAddr {
                     // Take the request, answer nothing, hang up: the client
                     // sees a clean Disconnected only *after* its submit
                     // succeeded, so exactly one retry is provoked.
-                    let _ = frame::read_frame_any(&mut stream);
+                    let _ = frame::read_frame(&mut stream);
                 } else {
                     serve_pong(stream)
                 }
